@@ -55,6 +55,8 @@ def check(name: str, produce) -> bool:
 def main() -> int:
     from repro.bench.fleet import FleetParams, run_fleet_benchmark
     from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
+    from repro.bench.params import BenchmarkParams
+    from repro.bench.runner import BenchmarkRunner
 
     ok = True
     for name in ("nicsim_seeded.json", "nicsim_multiqueue_seeded.json"):
@@ -69,6 +71,15 @@ def main() -> int:
         lambda g: run_fleet_benchmark(
             FleetParams.from_dict(g["params"])
         ).as_dict(),
+    )
+    ok &= check(
+        "dma_e3_seeded.json",
+        lambda g: [
+            result.as_dict()
+            for result in BenchmarkRunner().run_all(
+                [BenchmarkParams.from_dict(data) for data in g["params"]]
+            )
+        ],
     )
     return 0 if ok else 1
 

@@ -90,6 +90,15 @@ class CacheAccessResult:
     allocated: bool = False
 
 
+# The result records are frozen, so every access shares these four.
+_HIT = CacheAccessResult(hit=True)
+_MISS = CacheAccessResult(hit=False)
+_ALLOCATED = CacheAccessResult(hit=False, allocated=True)
+_ALLOCATED_WRITEBACK = CacheAccessResult(
+    hit=False, writeback_required=True, allocated=True
+)
+
+
 class CacheInterface(Protocol):
     """Protocol shared by the faithful and the statistical cache models."""
 
@@ -146,6 +155,11 @@ class SetAssociativeCache:
     DDIO lines — the isolation mechanism way-partitioned DDIO provides on
     real uncores.  Unpartitioned caches behave exactly as before (one
     owner holding every DDIO way).
+
+    Sets are created on their first allocation: an LLC has thousands of
+    sets and a benchmark window touches a few, so building, thrashing and
+    partitioning cost only what has been touched.  A set that was never
+    allocated into is empty, and a read of it misses.
     """
 
     def __init__(
@@ -170,18 +184,16 @@ class SetAssociativeCache:
         self.ddio_fraction = ddio_fraction
         self.ddio_ways = max(1, int(round(ways * ddio_fraction)))
         self.sets = total_lines // ways
-        # Each set maps line_address -> dirty flag, in LRU order (oldest first).
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.sets)
-        ]
+        # Set index -> (line_address -> dirty flag), in LRU order (oldest
+        # first); only sets that have held a line are present.
+        self._sets: dict[int, OrderedDict[int, bool]] = {}
         # Lines allocated by device writes (the DDIO-occupancy accounting),
-        # per set and per DDIO-way partition; unpartitioned caches hold one
-        # partition owning every DDIO way.
+        # per set index and per DDIO-way partition; unpartitioned caches
+        # hold one partition owning every DDIO way.  Created with the
+        # set's first device-write allocation.
         self._ddio_budgets: tuple[int, ...] = (self.ddio_ways,)
         self._ddio_owner: Callable[[int], int] | None = None
-        self._ddio_lines: list[list[set[int]]] = [
-            [set()] for _ in range(self.sets)
-        ]
+        self._ddio_lines: dict[int, list[set[int]]] = {}
         self.stats = CacheStats()
 
     @property
@@ -220,43 +232,44 @@ class SetAssociativeCache:
             budgets[largest] -= 1
         self._ddio_budgets = tuple(budgets)
         self._ddio_owner = owner
-        self._ddio_lines = [
-            [set() for _ in budgets] for _ in range(self.sets)
-        ]
+        self._ddio_lines.clear()
 
     def _owner(self, line_address: int) -> int:
         if self._ddio_owner is None:
             return 0
         return self._ddio_owner(line_address)
 
-    def _set_index(self, line_address: int) -> int:
-        return line_address % self.sets
-
     # -- device-side accesses -----------------------------------------------------
 
     def read(self, line_address: int) -> CacheAccessResult:
         """Device DMA read: hits if resident, never allocates on miss."""
-        index = self._set_index(line_address)
-        cache_set = self._sets[index]
-        if line_address in cache_set:
+        cache_set = self._sets.get(line_address % self.sets)
+        if cache_set is not None and line_address in cache_set:
             cache_set.move_to_end(line_address)
             self.stats.read_hits += 1
-            return CacheAccessResult(hit=True)
+            return _HIT
         self.stats.read_misses += 1
-        return CacheAccessResult(hit=False)
+        return _MISS
 
     def write(self, line_address: int) -> CacheAccessResult:
         """Device DMA write: hits update in place, misses allocate via DDIO."""
-        index = self._set_index(line_address)
-        cache_set = self._sets[index]
-        if line_address in cache_set:
+        index = line_address % self.sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif line_address in cache_set:
             cache_set[line_address] = True
             cache_set.move_to_end(line_address)
             self.stats.write_hits += 1
-            return CacheAccessResult(hit=True)
+            return _HIT
 
+        partitions = self._ddio_lines.get(index)
+        if partitions is None:
+            partitions = self._ddio_lines[index] = [
+                set() for _ in self._ddio_budgets
+            ]
         part = self._owner(line_address)
-        ddio_lines = self._ddio_lines[index][part]
+        ddio_lines = partitions[part]
         writeback = False
         if len(ddio_lines) >= self._ddio_budgets[part]:
             # The owner's DDIO portion of this set is full: evict its own
@@ -273,29 +286,29 @@ class SetAssociativeCache:
         self.stats.write_misses += 1
         if writeback:
             self.stats.writebacks += 1
-        return CacheAccessResult(hit=False, writeback_required=bool(writeback), allocated=True)
+            return _ALLOCATED_WRITEBACK
+        return _ALLOCATED
 
     # -- host-side priming ----------------------------------------------------------
 
     def host_touch(self, line_address: int, *, dirty: bool = True) -> None:
         """The host CPU reads/writes a line, installing it in the general LLC."""
-        index = self._set_index(line_address)
-        cache_set = self._sets[index]
-        if line_address in cache_set:
+        index = line_address % self.sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif line_address in cache_set:
             cache_set.move_to_end(line_address)
             cache_set[line_address] = cache_set[line_address] or dirty
             return
         cache_set[line_address] = dirty
-        self._ddio_lines[index][self._owner(line_address)].discard(line_address)
+        self._discard_ddio(index, line_address)
         self._evict_overflow(index)
 
     def thrash(self) -> None:
         """Empty the cache (the benchmark's default cold-cache preparation)."""
-        for cache_set in self._sets:
-            cache_set.clear()
-        for partitions in self._ddio_lines:
-            for ddio in partitions:
-                ddio.clear()
+        self._sets.clear()
+        self._ddio_lines.clear()
 
     def prepare(self, state: CacheState, window_lines: int) -> None:
         """Prime the cache per the benchmark's cache-state parameter."""
@@ -314,17 +327,23 @@ class SetAssociativeCache:
         cache_set = self._sets[index]
         while len(cache_set) > self.ways:
             victim, dirty = cache_set.popitem(last=False)
-            self._ddio_lines[index][self._owner(victim)].discard(victim)
+            self._discard_ddio(index, victim)
             if dirty:
                 self.stats.writebacks += 1
 
+    def _discard_ddio(self, index: int, line_address: int) -> None:
+        """Drop a line from its owner's DDIO accounting, if it is tracked."""
+        partitions = self._ddio_lines.get(index)
+        if partitions is not None:
+            partitions[self._owner(line_address)].discard(line_address)
+
     def resident(self, line_address: int) -> bool:
         """Whether a line is currently cached (test/inspection helper)."""
-        return line_address in self._sets[self._set_index(line_address)]
+        return line_address in self._sets.get(line_address % self.sets, ())
 
     def occupancy(self) -> int:
         """Number of resident lines."""
-        return sum(len(cache_set) for cache_set in self._sets)
+        return sum(len(cache_set) for cache_set in self._sets.values())
 
 
 @dataclass
@@ -523,25 +542,23 @@ class StatisticalCache:
     def read(self, line_address: int) -> CacheAccessResult:
         """Device DMA read: hit with the owner slice's resident probability."""
         resident, _ = self._probabilities(line_address)
-        hit = bool(self._random.random() < resident)
-        if hit:
+        if self._random.random() < resident:
             self.stats.read_hits += 1
-        else:
-            self.stats.read_misses += 1
-        return CacheAccessResult(hit=hit)
+            return _HIT
+        self.stats.read_misses += 1
+        return _MISS
 
     def write(self, line_address: int) -> CacheAccessResult:
         """Device DMA write: resident lines update in place, misses use DDIO."""
         resident, writeback_probability = self._probabilities(line_address)
-        hit = bool(self._random.random() < resident)
-        if hit:
+        if self._random.random() < resident:
             self.stats.write_hits += 1
-            return CacheAccessResult(hit=True)
+            return _HIT
         self.stats.write_misses += 1
         # Write allocation into the DDIO slice: when the benchmark window
         # exceeds the slice, allocations evict dirty DDIO lines which must be
         # written back to memory before the new write can complete.
-        writeback = bool(self._random.random() < writeback_probability)
-        if writeback:
+        if self._random.random() < writeback_probability:
             self.stats.writebacks += 1
-        return CacheAccessResult(hit=False, writeback_required=writeback, allocated=True)
+            return _ALLOCATED_WRITEBACK
+        return _ALLOCATED

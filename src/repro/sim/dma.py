@@ -165,8 +165,7 @@ class DmaEngine:
 
         samples = np.empty(count, dtype=np.float64)
         hits = 0
-        for index, address in enumerate(addresses):
-            address = int(address)
+        for index, address in enumerate(addresses.tolist()):
             if operation is DmaOperation.READ:
                 access = root_complex.read(address, size, buffer_node=node)
                 latency = (
@@ -238,6 +237,8 @@ class DmaEngine:
         read_completion_ns = link.serialisation_time_ns(read_wire.host_to_device)
         write_request_ns = link.serialisation_time_ns(write_wire.device_to_host)
 
+        staging = self.device.staging_latency_ns(size)
+
         link_up = SerialResource("link.device_to_host")
         link_down = SerialResource("link.host_to_device")
         ingress = SerialResource("root_complex.ingress")
@@ -248,8 +249,7 @@ class DmaEngine:
         last_completion = 0.0
         hits = 0
 
-        for index, address in enumerate(addresses):
-            address = int(address)
+        for index, address in enumerate(addresses.tolist()):
             is_read = operation is DmaOperation.READ or (
                 operation is DmaOperation.READ_WRITE and index % 2 == 0
             )
@@ -277,7 +277,7 @@ class DmaEngine:
                     completion_start
                     + read_completion_ns
                     + spec.completion_overhead_ns
-                    + self.device.staging_latency_ns(size)
+                    + staging
                 )
             else:
                 access = root_complex.write(address, size, buffer_node=node)

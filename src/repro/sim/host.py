@@ -38,6 +38,8 @@ class HostSystem:
     numa: NumaTopology
     iommu: Iommu
     rng: SimRng
+    #: ``"statistical"``, ``"faithful"`` or ``"auto"`` (picked per window).
+    cache_model: str = "auto"
 
     # -- construction -----------------------------------------------------------
 
@@ -101,15 +103,14 @@ class HostSystem:
             noise=profile.noise,
             rng=rng,
         )
-        host = cls(
+        return cls(
             profile=profile,
             root_complex=root_complex,
             numa=numa,
             iommu=iommu,
             rng=rng,
+            cache_model=cache_model,
         )
-        host._cache_model = cache_model  # type: ignore[attr-defined]
-        return host
 
     # -- buffers ---------------------------------------------------------------------
 
@@ -166,8 +167,7 @@ class HostSystem:
         host was built with ``cache_model="auto"``.
         """
         state = CacheState.from_value(cache_state)
-        mode = getattr(self, "_cache_model", "auto")
-        if mode == "auto":
+        if self.cache_model == "auto":
             wanted_faithful = buffer.window_cachelines <= FAITHFUL_CACHE_LINE_LIMIT
             currently_faithful = isinstance(
                 self.root_complex.cache, SetAssociativeCache

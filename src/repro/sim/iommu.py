@@ -58,6 +58,10 @@ class TranslationResult:
     walker_occupancy_ns: float = 0.0
 
 
+#: What a disabled IOMMU returns for every address (frozen, so shared).
+_UNTRANSLATED = TranslationResult(hit=True, latency_ns=0.0)
+
+
 class Iotlb:
     """A fully associative, LRU Translation Lookaside Buffer for I/O addresses."""
 
@@ -165,7 +169,7 @@ class Iommu:
         common case and the model keeps that simplification.
         """
         if not self.config.enabled:
-            return TranslationResult(hit=True, latency_ns=0.0)
+            return _UNTRANSLATED
         page = self.page_of(address)
         self.stats.translations += 1
         if self.iotlb.lookup(page):

@@ -37,8 +37,19 @@ class TightNoise:
         _check_non_negative(self, ("sigma_ns", "tail_probability", "tail_extra_ns"))
         _check_probability(self.tail_probability, "tail_probability")
 
-    def sample(self, generator: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` non-negative jitter values in nanoseconds."""
+    def sample(
+        self, generator: np.random.Generator, count: int | None = None
+    ) -> float | np.ndarray:
+        """Draw ``count`` non-negative jitter values in nanoseconds.
+
+        Without ``count`` one value is drawn as a Python float; it consumes
+        the generator exactly as ``count=1`` does and equals its element.
+        """
+        if count is None:
+            jitter = abs(generator.normal(0.0, self.sigma_ns))
+            if generator.random() < self.tail_probability:
+                return jitter + self.tail_extra_ns
+            return jitter
         jitter = np.abs(generator.normal(0.0, self.sigma_ns, size=count))
         outliers = generator.random(count) < self.tail_probability
         return jitter + outliers * self.tail_extra_ns
@@ -79,19 +90,32 @@ class HeavyTailNoise:
         if self.stall_max_ns < self.stall_min_ns:
             raise ValidationError("stall_max_ns must be >= stall_min_ns")
 
-    def sample(self, generator: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` non-negative jitter values in nanoseconds."""
+    def sample(
+        self, generator: np.random.Generator, count: int | None = None
+    ) -> float | np.ndarray:
+        """Draw ``count`` non-negative jitter values in nanoseconds.
+
+        Without ``count`` one value is drawn as a Python float; it consumes
+        the generator exactly as ``count=1`` does and equals its element.
+        """
+        if count is None:
+            jitter = generator.exponential(self.exponential_scale_ns)
+            if generator.random() < self.stall_probability:
+                # Rare: the stall keeps the array draw so it stays bit-equal.
+                return float(jitter + self._stalls(generator, 1)[0])
+            return jitter
         jitter = generator.exponential(self.exponential_scale_ns, size=count)
         stalls = generator.random(count) < self.stall_probability
         if stalls.any():
-            log_low = np.log(self.stall_min_ns)
-            log_high = np.log(self.stall_max_ns)
-            stall_values = np.exp(
-                generator.uniform(log_low, log_high, size=int(stalls.sum()))
-            )
             jitter = jitter.copy()
-            jitter[stalls] += stall_values
+            jitter[stalls] += self._stalls(generator, int(stalls.sum()))
         return jitter
+
+    def _stalls(self, generator: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` log-uniform stall durations in nanoseconds."""
+        log_low = np.log(self.stall_min_ns)
+        log_high = np.log(self.stall_max_ns)
+        return np.exp(generator.uniform(log_low, log_high, size=count))
 
 
 #: Union type accepted wherever a noise model is expected.

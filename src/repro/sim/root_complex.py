@@ -132,6 +132,30 @@ class RootComplex:
         self.noise = noise or TightNoise()
         self._noise_rng = self.rng.spawn("root_complex.noise")
 
+    @property
+    def cache(self) -> CacheInterface:
+        """The LLC model; may be swapped between benchmark windows."""
+        return self._cache
+
+    @cache.setter
+    def cache(self, cache: CacheInterface) -> None:
+        self._cache = cache
+        # Only the line-accurate model sees a transfer's further lines; the
+        # statistical model draws residency per transaction and extra
+        # touches would skew its counters.
+        self._touches_lines = not isinstance(cache, StatisticalCache)
+
+    @property
+    def numa(self) -> NumaTopology:
+        """The socket layout the NUMA penalty is taken from."""
+        return self._numa
+
+    @numa.setter
+    def numa(self, numa: NumaTopology) -> None:
+        self._numa = numa
+        # buffer node -> (penalty ns, remote), filled per validated node.
+        self._numa_costs: dict[int, tuple[float, bool]] = {}
+
     # -- benchmark preparation -----------------------------------------------------
 
     def prepare_cache(self, state: CacheState | str, window_lines: int) -> None:
@@ -144,16 +168,16 @@ class RootComplex:
         """Service a DMA read of ``size`` bytes at ``address``."""
         self._check_access(address, size)
         translation = self.iommu.translate(address)
-        line = address // CACHELINE_BYTES
-        cache_result = self.cache.read(line)
-        self._touch_remaining_lines(address, size, is_write=False)
-        remote = not self.numa.is_local(buffer_node)
+        cache_result = self._cache.read(address // CACHELINE_BYTES)
+        if self._touches_lines:
+            self._touch_remaining_lines(address, size, is_write=False)
+        numa_penalty, remote = self._numa_cost(buffer_node)
         latency = (
             self.config.base_read_ns
             + self.memory.read_penalty_ns(cache_hit=cache_result.hit)
             + translation.latency_ns
-            + self.numa.access_penalty_ns(buffer_node)
-            + self._sample_noise()
+            + numa_penalty
+            + self.noise.sample(self._noise_rng)
         )
         return HostAccess(
             latency_ns=latency,
@@ -173,18 +197,18 @@ class RootComplex:
         """
         self._check_access(address, size)
         translation = self.iommu.translate(address)
-        line = address // CACHELINE_BYTES
-        cache_result = self.cache.write(line)
-        self._touch_remaining_lines(address, size, is_write=True)
-        remote = not self.numa.is_local(buffer_node)
+        cache_result = self._cache.write(address // CACHELINE_BYTES)
+        if self._touches_lines:
+            self._touch_remaining_lines(address, size, is_write=True)
+        numa_penalty, remote = self._numa_cost(buffer_node)
         latency = (
             self.config.write_commit_ns
             + self.memory.write_allocation_penalty_ns(
                 writeback_required=cache_result.writeback_required
             )
             + translation.latency_ns
-            + self.numa.access_penalty_ns(buffer_node)
-            + self._sample_noise()
+            + numa_penalty
+            + self.noise.sample(self._noise_rng)
         )
         return HostAccess(
             latency_ns=latency,
@@ -214,13 +238,13 @@ class RootComplex:
             self.config.base_read_ns
             + read_translation.latency_ns
             + self.config.write_to_read_turnaround_ns
-            + self._sample_noise()
+            + self.noise.sample(self._noise_rng)
         )
         write_visible = (
             self.memory.write_allocation_penalty_ns(
                 writeback_required=write_access.writeback
             )
-            + self.numa.access_penalty_ns(buffer_node)
+            + self._numa_cost(buffer_node)[0]
         )
         total = write_visible + read_latency
         return HostAccess(
@@ -236,8 +260,20 @@ class RootComplex:
 
     # -- helpers -------------------------------------------------------------------------
 
-    def _sample_noise(self) -> float:
-        return float(self.noise.sample(self._noise_rng, 1)[0])
+    def _numa_cost(self, buffer_node: int) -> tuple[float, bool]:
+        """``(penalty ns, remote)`` of a buffer node, validated on first use.
+
+        Only a node the topology accepted is remembered, so an invalid
+        node raises on every access.
+        """
+        cost = self._numa_costs.get(buffer_node)
+        if cost is None:
+            cost = (
+                self._numa.access_penalty_ns(buffer_node),
+                not self._numa.is_local(buffer_node),
+            )
+            self._numa_costs[buffer_node] = cost
+        return cost
 
     def _ingress_occupancy(self, size: int) -> float:
         tlps = max(1, -(-size // 256))
@@ -246,19 +282,10 @@ class RootComplex:
     def _touch_remaining_lines(self, address: int, size: int, *, is_write: bool) -> None:
         """Keep line-accurate cache models consistent for multi-line transfers."""
         first_line = address // CACHELINE_BYTES
-        last_line = (address + max(size, 1) - 1) // CACHELINE_BYTES
-        if last_line == first_line:
-            return
-        # Only the faithful model benefits from this; the statistical model
-        # draws residency per transaction and extra touches would skew its
-        # counters.
-        if isinstance(self.cache, StatisticalCache):
-            return
+        last_line = (address + size - 1) // CACHELINE_BYTES
+        touch = self._cache.write if is_write else self._cache.read
         for line in range(first_line + 1, last_line + 1):
-            if is_write:
-                self.cache.write(line)
-            else:
-                self.cache.read(line)
+            touch(line)
 
     @staticmethod
     def _check_access(address: int, size: int) -> None:

@@ -1,5 +1,9 @@
 """Tests for the LLC / DDIO cache models (faithful and statistical)."""
 
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ValidationError
@@ -279,3 +283,90 @@ class TestStatisticalCachePartition:
             cache.prepare_partition(5, CacheState.COLD, 128)
         with pytest.raises(ValidationError):
             cache.prepare_partition(0, CacheState.COLD, 0)
+
+
+#: A seeded operation sequence on a small faithful cache and everything it
+#: produced, recorded before the per-set containers became lazy.
+PIN_PATH = Path(__file__).parent.parent / "golden" / "faithful_cache_pin.json"
+
+
+def replay_pin(spec):
+    """Run a pinned operation sequence; return what the pin file records.
+
+    Operations: ``["r", line]`` / ``["w", line]`` (device read / write),
+    ``["h", line, dirty]`` (host touch), ``["t"]`` (thrash),
+    ``["p", shares]`` (partition the DDIO ways, owner ``(line // 3) %
+    len(shares)``) and ``["P", state, window_lines]`` (prepare).  Each
+    device access records ``hit * 4 + writeback_required * 2 + allocated``;
+    other operations record ``-``.  Every ``checkpoint`` operations the
+    occupancy and the residency of lines ``0 .. probe_lines - 1`` are
+    recorded as well.
+    """
+    cache = SetAssociativeCache(**spec["cache"])
+    outcomes = []
+    checkpoints = []
+    for index, op in enumerate(spec["ops"]):
+        kind = op[0]
+        if kind in ("r", "w"):
+            result = cache.read(op[1]) if kind == "r" else cache.write(op[1])
+            outcomes.append(
+                str(result.hit * 4 + result.writeback_required * 2 + result.allocated)
+            )
+        else:
+            if kind == "h":
+                cache.host_touch(op[1], dirty=bool(op[2]))
+            elif kind == "t":
+                cache.thrash()
+            elif kind == "p":
+                owners = len(op[1])
+                cache.partition_ddio(op[1], lambda line, n=owners: (line // 3) % n)
+            else:
+                cache.prepare(CacheState(op[1]), op[2])
+            outcomes.append("-")
+        if (index + 1) % spec["checkpoint"] == 0:
+            checkpoints.append(_pin_snapshot(cache, spec["probe_lines"]))
+    return {
+        "outcomes": "".join(outcomes),
+        "checkpoints": checkpoints,
+        "final": _pin_snapshot(cache, spec["probe_lines"]),
+        "stats": asdict(cache.stats),
+    }
+
+
+def _pin_snapshot(cache, probe_lines):
+    return {
+        "occupancy": cache.occupancy(),
+        "resident": "".join(
+            "1" if cache.resident(line) else "0" for line in range(probe_lines)
+        ),
+    }
+
+
+class TestFaithfulCachePin:
+    """Eviction order, write-backs and residency of the faithful model.
+
+    Regenerate only after an intended behaviour change::
+
+        pin = json.loads(PIN_PATH.read_text())
+        pin["expected"] = replay_pin(pin["spec"])
+    """
+
+    def test_pinned_sequence_reproduces_exactly(self):
+        pin = json.loads(PIN_PATH.read_text())
+        actual = replay_pin(pin["spec"])
+        expected = pin["expected"]
+        assert len(actual["outcomes"]) == len(pin["spec"]["ops"])
+        for index, (got, want) in enumerate(
+            zip(actual["outcomes"], expected["outcomes"])
+        ):
+            assert got == want, f"op {index} {pin['spec']['ops'][index]}: {got} != {want}"
+        assert actual == expected
+
+    def test_pinned_sequence_exercises_every_path(self):
+        pin = json.loads(PIN_PATH.read_text())
+        kinds = {op[0] for op in pin["spec"]["ops"]}
+        assert kinds == {"r", "w", "h", "t", "p", "P"}
+        outcomes = pin["expected"]["outcomes"]
+        # Read hits and misses, write hits, clean and dirty allocations.
+        assert {"0", "4", "1", "3"} <= set(outcomes)
+        assert pin["expected"]["stats"]["writebacks"] > 0

@@ -1,5 +1,7 @@
 """Tests for the HostSystem façade."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ValidationError
@@ -35,6 +37,12 @@ class TestConstruction:
     def test_invalid_cache_model_rejected(self):
         with pytest.raises(ValidationError):
             HostSystem.from_profile("NFP6000-HSW", cache_model="magic")
+
+    def test_cache_model_is_a_field(self):
+        assert HostSystem.from_profile("NFP6000-HSW").cache_model == "auto"
+        host = HostSystem.from_profile("NFP6000-HSW", cache_model="faithful")
+        assert host.cache_model == "faithful"
+        assert "cache_model" in {field.name for field in fields(HostSystem)}
 
     def test_describe_mentions_profile_and_device(self):
         info = HostSystem.from_profile("NFP6000-HSW", seed=7).describe()

@@ -63,6 +63,38 @@ class TestNoiseModels:
             HeavyTailNoise(stall_min_ns=100.0, stall_max_ns=10.0)
 
 
+class TestScalarNoiseDraws:
+    """A scalar draw consumes the stream exactly like a one-element array."""
+
+    MODELS = [
+        TightNoise(),
+        TightNoise(tail_probability=1.0),
+        HeavyTailNoise(),
+        HeavyTailNoise(stall_probability=1.0),
+        HeavyTailNoise(stall_probability=0.05),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_scalar_draws_equal_array_draws_and_keep_the_stream_in_step(
+        self, model
+    ):
+        scalar_stream = SimRng(11).spawn("noise")
+        array_stream = SimRng(11).spawn("noise")
+        for _ in range(10_000):
+            scalar = model.sample(scalar_stream)
+            assert type(scalar) is float
+            assert scalar == float(model.sample(array_stream, 1)[0])
+        # Both generators sit at the same position afterwards.
+        assert scalar_stream.random() == array_stream.random()
+
+    def test_forced_rare_branches_fire(self):
+        stream = SimRng(3).spawn("noise")
+        tight = TightNoise(tail_probability=1.0)
+        assert tight.sample(stream) >= tight.tail_extra_ns
+        heavy = HeavyTailNoise(stall_probability=1.0)
+        assert heavy.sample(stream) >= heavy.stall_min_ns
+
+
 class TestSerialResource:
     def test_back_to_back_requests_queue(self):
         link = SerialResource("link")

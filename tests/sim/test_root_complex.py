@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.sim.cache import CacheState, SetAssociativeCache
+from repro.sim.cache import CacheState, SetAssociativeCache, StatisticalCache
 from repro.sim.iommu import Iommu, IommuConfig
 from repro.sim.noise import TightNoise
 from repro.sim.numa import NumaTopology
@@ -116,6 +116,42 @@ class TestNumaIntegration:
         with pytest.raises(ValidationError):
             rc.read(0, 64, buffer_node=7)
 
+    @pytest.mark.parametrize("method", ["read", "write", "write_read"])
+    def test_unknown_node_rejected_on_every_call(self, method):
+        rc = make_root_complex(numa=NumaTopology.dual_socket())
+        rc.prepare_cache(CacheState.HOST_WARM, window_lines=64)
+        access = getattr(rc, method)
+        for _ in range(3):
+            with pytest.raises(ValidationError):
+                access(0, 64, buffer_node=7)
+        # A valid node still works afterwards, and the bad one still fails.
+        assert access(0, 64, buffer_node=1).remote
+        with pytest.raises(ValidationError):
+            access(0, 64, buffer_node=7)
+
+    @pytest.mark.parametrize("method", ["read", "write", "write_read"])
+    def test_remote_node_pays_the_penalty_on_every_call(self, method):
+        rc = make_root_complex(numa=NumaTopology.dual_socket(remote_penalty_ns=100.0))
+        rc.prepare_cache(CacheState.HOST_WARM, window_lines=64)
+        access = getattr(rc, method)
+        for _ in range(3):
+            local = access(0, 64, buffer_node=0)
+            remote = access(0, 64, buffer_node=1)
+            assert remote.latency_ns - local.latency_ns == pytest.approx(100.0)
+            assert remote.remote and not local.remote
+
+    def test_replacing_the_topology_takes_effect(self):
+        rc = make_root_complex(numa=NumaTopology.dual_socket(remote_penalty_ns=100.0))
+        rc.prepare_cache(CacheState.HOST_WARM, window_lines=64)
+        local = rc.read(0, 64, buffer_node=0).latency_ns
+        assert rc.read(0, 64, buffer_node=1).latency_ns - local == pytest.approx(100.0)
+        rc.numa = NumaTopology.dual_socket(remote_penalty_ns=250.0)
+        assert rc.read(0, 64, buffer_node=1).latency_ns - local == pytest.approx(250.0)
+        rc.numa = NumaTopology.single_socket()
+        assert not rc.read(0, 64, buffer_node=0).remote
+        with pytest.raises(ValidationError):
+            rc.read(0, 64, buffer_node=1)
+
 
 class TestIngressOccupancy:
     def test_ingress_occupancy_scales_with_tlp_count(self):
@@ -134,3 +170,16 @@ class TestIngressOccupancy:
         rc.prepare_cache(CacheState.COLD, window_lines=64)
         rc.write(0, 256)  # allocates four lines via DDIO
         assert cache.resident(0) and cache.resident(3)
+
+    def test_swapped_cache_decides_whether_following_lines_are_touched(self):
+        rc = make_root_complex()
+        statistical = StatisticalCache(rng=SimRng(1))
+        statistical.prepare(CacheState.HOST_WARM, window_lines=64)
+        rc.cache = statistical
+        rc.read(0, 256)
+        # The statistical model draws residency once per transaction.
+        assert statistical.stats.read_hits + statistical.stats.read_misses == 1
+        faithful = SetAssociativeCache(64 * KIB, ways=8)
+        rc.cache = faithful
+        rc.read(0, 256)
+        assert faithful.stats.read_misses == 4
