@@ -53,6 +53,7 @@ def check(name: str, produce) -> bool:
 
 
 def main() -> int:
+    from repro.bench.contention import ContentionParams, run_contention_benchmark
     from repro.bench.fleet import FleetParams, run_fleet_benchmark
     from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
     from repro.bench.params import BenchmarkParams
@@ -79,6 +80,13 @@ def main() -> int:
             for result in BenchmarkRunner().run_all(
                 [BenchmarkParams.from_dict(data) for data in g["params"]]
             )
+        ],
+    )
+    ok &= check(
+        "contention_schemes_seeded.json",
+        lambda g: [
+            run_contention_benchmark(ContentionParams.from_dict(data)).as_dict()
+            for data in g["params"]
         ],
     )
     return 0 if ok else 1

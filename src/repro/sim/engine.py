@@ -795,6 +795,7 @@ class ArbitratedResource:
         "_schedule",
         "_loop",
         "_queues",
+        "_pick",
         "_sequence",
         "_busy_until",
         "_dispatch_pending",
@@ -822,26 +823,18 @@ class ArbitratedResource:
         if scheme == "sliced":
             if quantum_ns is None:
                 quantum_ns = DEFAULT_QUANTUM_NS
-            if quantum_ns <= 0:
+            if not 0 < quantum_ns < math.inf:
                 raise ValidationError(
-                    f"quantum_ns must be positive, got {quantum_ns}"
+                    f"quantum_ns must be positive and finite, got {quantum_ns}"
                 )
         elif quantum_ns is not None:
             raise ValidationError(
                 f"quantum_ns only applies to the sliced scheme, not {scheme!r}"
             )
-        if weights is None:
-            weights = (1.0,) * clients
-        if len(weights) != clients:
-            raise ValidationError(
-                f"need one weight per client ({clients}), got {len(weights)}"
-            )
-        if any(weight <= 0 for weight in weights):
-            raise ValidationError(f"weights must be positive, got {weights}")
         self.name = name
         self.clients = clients
         self.scheme = scheme
-        self.weights = tuple(float(weight) for weight in weights)
+        self.set_weights((1.0,) * clients if weights is None else weights)
         self.quantum_ns = None if quantum_ns is None else float(quantum_ns)
         self._schedule = schedule
         self._loop: "EventLoop | HeapEventLoop | None" = None
@@ -851,6 +844,12 @@ class ArbitratedResource:
             deque[tuple[float, int, float, Callable[[float], None], float]],
             ...,
         ] = tuple(deque() for _ in range(clients))
+        # The scheme's picker, bound once (see the scheduling section).
+        self._pick: Callable[[float, int], int] = {
+            "fcfs": self._pick_oldest,
+            "rr": self._pick_round_robin,
+            "age": self._pick_weighted_age,
+        }.get(scheme, self._pick_least_service)
         self._sequence = 0
         self._busy_until = 0.0
         self._dispatch_pending = False
@@ -868,14 +867,18 @@ class ArbitratedResource:
         Safe at any time: the schedulers read ``self.weights`` at pick
         time, so the new weights govern every grant from the next
         dispatch on, while queued requests and in-flight grants are
-        untouched.  Same validation as construction.
+        untouched.  Same validation as construction: one positive,
+        finite weight per client.
         """
         if len(weights) != self.clients:
             raise ValidationError(
                 f"need one weight per client ({self.clients}), got {len(weights)}"
             )
-        if any(weight <= 0 for weight in weights):
-            raise ValidationError(f"weights must be positive, got {weights}")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not all(0 < weight < math.inf for weight in weights):
+            raise ValidationError(
+                f"weights must be positive and finite, got {tuple(weights)}"
+            )
         self.weights = tuple(float(weight) for weight in weights)
 
     @property
@@ -899,49 +902,89 @@ class ArbitratedResource:
             raise ValidationError(f"now must be non-negative, got {now}")
         if duration < 0:
             raise ValidationError(f"duration must be non-negative, got {duration}")
-        self._queues[client].append(
-            (now, self._sequence, duration, grant, duration)
-        )
-        self._sequence += 1
+        sequence = self._sequence
+        self._queues[client].append((now, sequence, duration, grant, duration))
+        self._sequence = sequence + 1
         self.stats[client].requests += 1
         if not self._dispatch_pending and self._busy_until <= now:
             self._dispatch(now)
 
     # -- scheduling ------------------------------------------------------------
+    #
+    # Each picker chooses among the clients whose head request has arrived
+    # (``asked <= now``).  ``_dispatch`` only calls one when at least two
+    # clients are eligible and passes the lowest-indexed of them, so the
+    # scans start there.  Every tie goes to the lowest client index.
 
-    def _pick(self, eligible: list[int], now: float) -> int:
-        """Choose the next client to serve among those with arrived requests."""
-        if self.scheme == "fcfs":
-            # Globally oldest request; the per-client queues are FIFO, so
-            # comparing heads suffices.  The submission sequence breaks
-            # same-time ties in call order, like SerialResource.
-            return min(
-                eligible, key=lambda index: self._queues[index][0][:2]
-            )
-        if self.scheme == "rr":
-            for offset in range(1, self.clients + 1):
-                index = (self._last_granted + offset) % self.clients
-                if index in eligible:
-                    return index
-            return eligible[0]  # pragma: no cover - eligible is non-empty
-        if self.scheme == "age":
-            # Largest weighted age first; max with (-index) makes the
-            # lowest client index win a tie deterministically.
-            return max(
-                eligible,
-                key=lambda index: (
-                    (now - self._queues[index][0][0]) * self.weights[index],
-                    -index,
-                ),
-            )
-        # wrr and sliced: least normalised service first.
-        return min(
-            eligible,
-            key=lambda index: (
-                self.stats[index].busy_ns_total / self.weights[index],
-                index,
-            ),
-        )
+    def _pick_oldest(self, now: float, first: int) -> int:
+        """fcfs: the globally oldest request.
+
+        The per-client queues are FIFO, so comparing heads suffices.  The
+        submission sequence breaks same-time ties in call order, like
+        :class:`SerialResource`.
+        """
+        queues = self._queues
+        best = first
+        head = queues[first][0]
+        best_asked = head[0]
+        best_sequence = head[1]
+        for index in range(first + 1, self.clients):
+            queue = queues[index]
+            if queue:
+                head = queue[0]
+                asked = head[0]
+                if asked <= now and (
+                    asked < best_asked
+                    or (asked == best_asked and head[1] < best_sequence)
+                ):
+                    best, best_asked, best_sequence = index, asked, head[1]
+        return best
+
+    def _pick_round_robin(self, now: float, first: int) -> int:
+        """rr: the next eligible client after the last-granted one."""
+        queues = self._queues
+        clients = self.clients
+        index = self._last_granted
+        while True:
+            index += 1
+            if index == clients:
+                index = 0
+            queue = queues[index]
+            if queue and queue[0][0] <= now:
+                return index
+
+    def _pick_weighted_age(self, now: float, first: int) -> int:
+        """age: the largest weighted age ``(now - asked) * weight``."""
+        queues = self._queues
+        weights = self.weights
+        best = first
+        best_age = (now - queues[first][0][0]) * weights[first]
+        for index in range(first + 1, self.clients):
+            queue = queues[index]
+            if queue:
+                asked = queue[0][0]
+                if asked <= now:
+                    age = (now - asked) * weights[index]
+                    if age > best_age:
+                        best, best_age = index, age
+        return best
+
+    def _pick_least_service(self, now: float, first: int) -> int:
+        """wrr and sliced: the least normalised service ``busy / weight``."""
+        queues = self._queues
+        weights = self.weights
+        stats = self.stats
+        best = first
+        # A true division, not a product with a precomputed inverse: the
+        # two round differently, and equal keys must tie exactly.
+        best_service = stats[first].busy_ns_total / weights[first]
+        for index in range(first + 1, self.clients):
+            queue = queues[index]
+            if queue and queue[0][0] <= now:
+                service = stats[index].busy_ns_total / weights[index]
+                if service < best_service:
+                    best, best_service = index, service
+        return best
 
     def attach_loop(self, loop: "EventLoop | HeapEventLoop") -> None:
         """Enable batched grants against ``loop``.
@@ -956,40 +999,47 @@ class ArbitratedResource:
     def _dispatch(self, now: float) -> None:
         loop = self._loop
         queues = self._queues
+        quantum = self.quantum_ns
         while True:
             if now < self._busy_until:  # pragma: no cover - defensive guard
                 return
-            backlog = [
-                index for index in range(self.clients) if queues[index]
-            ]
-            if not backlog:
+            # One pass over the queues: the lowest-indexed eligible client,
+            # whether a second one exists, and the earliest future head.
+            client = -1
+            wake = None
+            index = 0
+            for queue in queues:
+                if queue:
+                    asked = queue[0][0]
+                    if asked > now:
+                        if wake is None or asked < wake:
+                            wake = asked
+                    elif client < 0:
+                        client = index
+                    else:
+                        client = self._pick(now, client)
+                        break
+                index += 1
+            if client < 0:
+                if wake is not None:
+                    # Every queued request is in the caller's future (only
+                    # possible when the resource is driven outside an event
+                    # loop); sleep until the earliest one arrives.
+                    self._dispatch_pending = True
+                    self._schedule(wake, self._on_free)
                 return
-            eligible = [
-                index for index in backlog if queues[index][0][0] <= now
-            ]
-            if not eligible:
-                # Every queued request is in the caller's future (only
-                # possible when the resource is driven outside an event
-                # loop); sleep until the earliest one arrives.
-                wake = min(queues[index][0][0] for index in backlog)
-                self._dispatch_pending = True
-                self._schedule(wake, self._on_free)
-                return
-            client = self._pick(eligible, now)
-            asked, sequence, remaining, grant, total = queues[client].popleft()
+            queue = queues[client]
+            asked, sequence, remaining, grant, total = queue.popleft()
             stats = self.stats[client]
-            sliced_remnant = (
-                self.scheme == "sliced"
-                and self.quantum_ns is not None
-                and remaining > self.quantum_ns
-            )
+            # quantum is None unless the scheme is sliced.
+            sliced_remnant = quantum is not None and remaining > quantum
             if sliced_remnant:
                 # Serve one quantum and put the remnant back at the head
                 # of the client's queue (same asked time and sequence, so
                 # fcfs-style ordering facts about the original request
                 # survive slicing).
-                served = self.quantum_ns
-                queues[client].appendleft(
+                served = quantum
+                queue.appendleft(
                     (asked, sequence, remaining - served, grant, total)
                 )
             else:
@@ -999,46 +1049,40 @@ class ArbitratedResource:
             self._busy_until = end
             self._last_granted = client
             self._dispatch_pending = True
-            if loop is None or not loop.running:
+            batched = loop is not None and loop.running
+            if batched:
+                # Batched path: hold the wake-up's tie-break position while
+                # the grant callback runs, then either dispatch the next
+                # grant inline (nothing pending before the service end, so
+                # the loop state at ``end`` is already final) or schedule
+                # the wake-up under the reserved sequence — same pop order
+                # either way.
+                wake_sequence = loop.reserve()
+            else:
                 # Legacy path: wake up through the scheduler.  The wake-up
                 # is scheduled *before* the grant callback runs, so it
                 # sorts ahead of any same-time event the grant schedules.
                 self._schedule(end, self._on_free)
-                if not sliced_remnant:
-                    self._grant(stats, grant, end - total, asked)
-                return
-            # Batched path: hold the wake-up's tie-break position while
-            # the grant callback runs, then either dispatch the next grant
-            # inline (nothing pending before the service end, so the loop
-            # state at ``end`` is already final) or schedule the wake-up
-            # under the reserved sequence — same pop order either way.
-            wake_sequence = loop.reserve()
             if not sliced_remnant:
-                self._grant(stats, grant, end - total, asked)
+                # The virtual start backdates a sliced grant so that
+                # start + total == the true completion time; for unsliced
+                # grants (remaining == total) it is exactly ``now``.
+                start = end - total
+                if start > asked:
+                    wait = start - asked
+                    stats.waited += 1
+                    stats.wait_ns_total += wait
+                    if wait > stats.wait_ns_max:
+                        stats.wait_ns_max = wait
+                grant(start)
+            if not batched:
+                return
             if loop.peek_time() > end:
                 self._dispatch_pending = False
                 now = end
                 continue
             loop.at_sequenced(end, wake_sequence, self._on_free)
             return
-
-    def _grant(
-        self,
-        stats: ArbiterClientStats,
-        grant: Callable[[float], None],
-        start: float,
-        asked: float,
-    ) -> None:
-        # The virtual start backdates a sliced grant so that
-        # start + total == the true completion time; for unsliced grants
-        # (remaining == total) it is exactly the dispatch time.
-        if start > asked:
-            wait = start - asked
-            stats.waited += 1
-            stats.wait_ns_total += wait
-            if wait > stats.wait_ns_max:
-                stats.wait_ns_max = wait
-        grant(start)
 
     def _on_free(self, now: float) -> None:
         self._dispatch_pending = False

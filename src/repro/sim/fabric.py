@@ -54,6 +54,7 @@ devices, where there is something to arbitrate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
@@ -191,9 +192,11 @@ class FabricConfig:
                     f"{self.arbiter!r} scheme ignores them"
                 )
             weights = tuple(float(weight) for weight in self.weights)
-            if any(weight <= 0 for weight in weights):
+            # Written so NaN fails too: every comparison with NaN is False.
+            if not all(0 < weight < math.inf for weight in weights):
                 raise ValidationError(
-                    f"arbitration weights must be positive, got {weights}"
+                    f"arbitration weights must be positive and finite, "
+                    f"got {weights}"
                 )
             object.__setattr__(self, "weights", weights)
         if isinstance(self.topology, str):
@@ -204,9 +207,9 @@ class FabricConfig:
             quantum = (
                 DEFAULT_QUANTUM_NS if self.quantum_ns is None else float(self.quantum_ns)
             )
-            if quantum <= 0:
+            if not 0 < quantum < math.inf:
                 raise ValidationError(
-                    f"quantum_ns must be positive, got {quantum}"
+                    f"quantum_ns must be positive and finite, got {quantum}"
                 )
             object.__setattr__(self, "quantum_ns", quantum)
         elif self.quantum_ns is not None:
@@ -674,38 +677,65 @@ class _UpstreamPort:
         self._device = device
 
     def claim(self, now, access, coupling, then) -> None:
-        def at_walker(ready: float) -> None:
-            occupancy = access.walker_occupancy_ns
-
-            def granted(start: float) -> None:
-                coupling.note_walker_stall(max(0.0, start - ready))
-                if self._tracer is not None:
-                    self._tracer.record(
-                        self._device, "walker", -1, STAGE_WALKER, start, occupancy
-                    )
-                then(start + occupancy)
-
-            self._walker.request(self._client, ready, occupancy, granted)
-
-        def after_ingress(ready: float) -> None:
-            if access.walker_occupancy_ns > 0.0:
-                if ready > now:
-                    self._schedule(ready, at_walker)
-                else:
-                    at_walker(ready)
-            else:
-                then(ready)
-
-        occupancy = access.ingress_occupancy_ns
-        if occupancy > 0.0:
+        ingress = access.ingress_occupancy_ns
+        walker = access.walker_occupancy_ns
+        if ingress > 0.0:
             self._ingress.request(
                 self._client,
                 now,
-                occupancy,
-                lambda start: after_ingress(start + occupancy),
+                ingress,
+                _Claim(self, now, ingress, walker, coupling, then).after_ingress,
             )
+        elif walker > 0.0:
+            _Claim(self, now, ingress, walker, coupling, then).at_ready(now)
         else:
-            after_ingress(now)
+            then(now)
+
+
+class _Claim:
+    """One transaction's ingress→walker chain through an upstream port.
+
+    Its bound methods are the chain's callbacks: the ingress grant fires
+    :meth:`after_ingress`; the walker request is submitted by
+    :meth:`at_ready` (scheduled when the ingress service ends in the
+    future) and its grant fires :meth:`walker_granted`.
+    """
+
+    __slots__ = ("port", "now", "ingress", "walker", "coupling", "then", "ready")
+
+    def __init__(self, port, now, ingress, walker, coupling, then) -> None:
+        self.port = port
+        self.now = now
+        self.ingress = ingress
+        self.walker = walker
+        self.coupling = coupling
+        self.then = then
+        self.ready = now
+
+    def after_ingress(self, start: float) -> None:
+        ready = start + self.ingress
+        if self.walker > 0.0:
+            if ready > self.now:
+                self.port._schedule(ready, self.at_ready)
+            else:
+                self.at_ready(ready)
+        else:
+            self.then(ready)
+
+    def at_ready(self, ready: float) -> None:
+        self.ready = ready
+        port = self.port
+        port._walker.request(port._client, ready, self.walker, self.walker_granted)
+
+    def walker_granted(self, start: float) -> None:
+        port = self.port
+        occupancy = self.walker
+        self.coupling.note_walker_stall(max(0.0, start - self.ready))
+        if port._tracer is not None:
+            port._tracer.record(
+                port._device, "walker", -1, STAGE_WALKER, start, occupancy
+            )
+        self.then(start + occupancy)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ multi-device runs reproduce the pre-topology results bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -227,6 +228,126 @@ class _DeviceAccounting:
                 stats.wait_ns_max = wait
 
 
+class _Route:
+    """One device's fixed ascent path through a compiled tree.
+
+    Per level, attachment first and the root last: the node name (for the
+    trace hook), its arbiter and this path's client index there.
+    ``credits`` holds the upstream credit of every switch level, in path
+    order (one fewer than the levels).
+    """
+
+    __slots__ = (
+        "device",
+        "nodes",
+        "arbiters",
+        "clients",
+        "credits",
+        "last",
+        "accounting",
+        "schedule",
+        "trace",
+    )
+
+    def __init__(
+        self,
+        device: int,
+        nodes: tuple[str, ...],
+        arbiters: tuple[ArbitratedResource, ...],
+        clients: tuple[int, ...],
+        credits: tuple[TagPool, ...],
+        accounting: _DeviceAccounting,
+        schedule: Callable[[float, Callable[[float], None]], None],
+        trace: Callable[[int, str, float, float, float], None] | None,
+    ) -> None:
+        self.device = device
+        self.nodes = nodes
+        self.arbiters = arbiters
+        self.clients = clients
+        self.credits = credits
+        self.last = len(nodes) - 1
+        self.accounting = accounting
+        self.schedule = schedule
+        self.trace = trace
+
+
+class _Ascent:
+    """One request climbing a switch tree, store-and-forward.
+
+    Its bound methods are the callbacks of every step, in order:
+    :meth:`climb` submits at the current level; a switch grant fires
+    :meth:`forward`, which schedules :meth:`take_credit` for the end of
+    that hop's service; :meth:`with_credit` moves one level up and climbs
+    again; the root grant fires :meth:`at_root`.  A request has at most
+    one callback outstanding at a time, so one record serves every level.
+    """
+
+    __slots__ = ("route", "asked", "duration", "grant", "level", "time")
+
+    def __init__(
+        self,
+        route: _Route,
+        asked: float,
+        duration: float,
+        grant: Callable[[float], None],
+    ) -> None:
+        self.route = route
+        self.asked = asked
+        self.duration = duration
+        self.grant = grant
+        self.level = 0
+        self.time = asked
+
+    def climb(self, time: float) -> None:
+        route = self.route
+        level = self.level
+        self.time = time
+        route.arbiters[level].request(
+            route.clients[level],
+            time,
+            self.duration,
+            self.at_root if level == route.last else self.forward,
+        )
+
+    def forward(self, start: float) -> None:
+        # This hop's service ends at start + duration; the request then
+        # waits for the switch's upstream credit before it exits one
+        # level up — a switch can neither pre-book its parent nor flood
+        # it with a backlog.
+        route = self.route
+        if route.trace is not None:
+            route.trace(
+                route.device, route.nodes[self.level], self.time, start,
+                self.duration,
+            )
+        route.schedule(start + self.duration, self.take_credit)
+
+    def take_credit(self, later: float) -> None:
+        self.route.credits[self.level].acquire(later, self.with_credit)
+
+    def with_credit(self, granted: float) -> None:
+        self.level += 1
+        self.climb(granted)
+
+    def at_root(self, start: float) -> None:
+        # The request's service completes at start + duration (start is
+        # virtual under slicing); only then do the switches along the
+        # path regain their upstream credit.
+        route = self.route
+        duration = self.duration
+        completion = start + duration
+        schedule = route.schedule
+        for credit in route.credits:
+            schedule(completion, credit.release)
+        route.accounting.record(self.asked, start, duration, route.last + 1)
+        if route.trace is not None:
+            route.trace(
+                route.device, route.nodes[route.last], self.time, start,
+                duration,
+            )
+        self.grant(start)
+
+
 class CompiledTopology:
     """One shared serial resource arbitrated through a topology tree.
 
@@ -262,15 +383,6 @@ class CompiledTopology:
         self._trace = trace
         self.topology = topology
         self.device_names = tuple(device_names)
-        if weights is None:
-            weights = (1.0,) * len(self.device_names)
-        if len(weights) != len(self.device_names):
-            raise ValidationError(
-                f"need one weight per device ({len(self.device_names)}), "
-                f"got {len(weights)}"
-            )
-        device_weight = dict(zip(self.device_names, weights))
-        self._schedule = schedule
 
         # Children per node, in link order (fixes client indices).
         children: dict[str, list[str]] = {ROOT: []}
@@ -279,27 +391,19 @@ class CompiledTopology:
         for child, parent in topology.links:
             children[parent].append(child)
         self._children = {node: tuple(kids) for node, kids in children.items()}
-
-        def subtree_weight(node: str) -> float:
-            if node in device_weight:
-                return float(device_weight[node])
-            return sum(subtree_weight(child) for child in children[node])
-
-        self._arbiters: dict[str, ArbitratedResource] = {}
-        for node, kids in children.items():
-            label = name if node == ROOT else f"{name}.{node}"
-            self._arbiters[node] = ArbitratedResource(
-                label,
+        self._arbiters: dict[str, ArbitratedResource] = {
+            node: ArbitratedResource(
+                name if node == ROOT else f"{name}.{node}",
                 len(kids),
                 schedule=schedule,
                 scheme=scheme,
-                weights=tuple(subtree_weight(kid) for kid in kids),
                 quantum_ns=quantum_ns,
             )
-        self._client_index = {
-            node: {kid: index for index, kid in enumerate(kids)}
-            for node, kids in children.items()
+            for node, kids in self._children.items()
         }
+        self.set_device_weights(
+            (1.0,) * len(self.device_names) if weights is None else weights
+        )
         # One upstream credit per switch: a request may only be submitted
         # to the parent while holding its switch's credit, returned when
         # the request's root-level service completes.  This is the
@@ -309,18 +413,27 @@ class CompiledTopology:
             switch: TagPool(f"{name}.{switch}.upstream", 1)
             for switch in topology.switch_names
         }
-        # Per-device ascent path as (node, client_index) pairs.
-        self._paths: list[tuple[tuple[str, int], ...]] = []
-        for device in self.device_names:
-            hops = []
-            child = device
-            for node in topology.path_to_root(device):
-                hops.append((node, self._client_index[node][child]))
-                child = node
-            self._paths.append(tuple(hops))
-        self._accounting = [
-            _DeviceAccounting() for _ in self.device_names
-        ]
+        # Per-device ascent route, attachment node first, ROOT last.
+        routes = []
+        for index, device in enumerate(self.device_names):
+            nodes = topology.path_to_root(device)
+            below = (device,) + nodes[:-1]
+            routes.append(
+                _Route(
+                    index,
+                    nodes,
+                    tuple(self._arbiters[node] for node in nodes),
+                    tuple(
+                        self._children[node].index(child)
+                        for node, child in zip(nodes, below)
+                    ),
+                    tuple(self._credits[node] for node in nodes[:-1]),
+                    _DeviceAccounting(),
+                    schedule,
+                    trace,
+                )
+            )
+        self._routes = tuple(routes)
 
     @property
     def root(self) -> ArbitratedResource:
@@ -351,8 +464,11 @@ class CompiledTopology:
                 f"need one weight per device ({len(self.device_names)}), "
                 f"got {len(weights)}"
             )
-        if any(weight <= 0 for weight in weights):
-            raise ValidationError(f"weights must be positive, got {tuple(weights)}")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not all(0 < weight < math.inf for weight in weights):
+            raise ValidationError(
+                f"weights must be positive and finite, got {tuple(weights)}"
+            )
         device_weight = dict(zip(self.device_names, weights))
 
         def subtree_weight(node: str) -> float:
@@ -389,72 +505,30 @@ class CompiledTopology:
         the resource's service completes — the same contract as a single
         :class:`~repro.sim.engine.ArbitratedResource`.
         """
-        path = self._paths[device]
-        trace = self._trace
-        if len(path) == 1:
-            # Flat attachment: the PR 4 fast path, no indirection.
-            node, client = path[0]
-            if trace is None:
-                self._arbiters[node].request(client, now, duration, grant)
-                return
-
-            def traced_grant(start: float) -> None:
-                trace(device, node, now, start, duration)
-                grant(start)
-
-            self._arbiters[node].request(client, now, duration, traced_grant)
+        route = self._routes[device]
+        if route.last:
+            _Ascent(route, now, duration, grant).climb(now)
             return
-        accounting = self._accounting[device]
-        hops = len(path)
-        held: list[TagPool] = []
+        # Flat attachment: a direct arbiter call, no indirection.
+        arbiter = route.arbiters[0]
+        trace = self._trace
+        if trace is None:
+            arbiter.request(route.clients[0], now, duration, grant)
+            return
+        node = route.nodes[0]
 
-        def ascend(level: int, time: float) -> None:
-            node, client = path[level]
-            if level == hops - 1:
-                def at_root(start: float) -> None:
-                    # The request's service completes at start + duration
-                    # (start is virtual under slicing); only then do the
-                    # switches along the path regain their upstream credit.
-                    completion = start + duration
-                    for credit in held:
-                        self._schedule(completion, credit.release)
-                    accounting.record(now, start, duration, hops)
-                    if trace is not None:
-                        trace(device, node, time, start, duration)
-                    grant(start)
+        def traced_grant(start: float) -> None:
+            trace(device, node, now, start, duration)
+            grant(start)
 
-                self._arbiters[node].request(client, time, duration, at_root)
-            else:
-                credit = self._credits[node]
-
-                def forward(start: float) -> None:
-                    # This hop's service ends at start + duration; the
-                    # request then waits for the switch's upstream credit
-                    # before it exists one level up — a switch can neither
-                    # pre-book its parent nor flood it with a backlog.
-                    if trace is not None:
-                        trace(device, node, time, start, duration)
-
-                    def with_credit(granted: float) -> None:
-                        held.append(credit)
-                        ascend(level + 1, granted)
-
-                    self._schedule(
-                        start + duration,
-                        lambda later: credit.acquire(later, with_credit),
-                    )
-
-                self._arbiters[node].request(client, time, duration, forward)
-
-        ascend(0, now)
+        arbiter.request(route.clients[0], now, duration, traced_grant)
 
     def client_stats(self, device: int) -> ArbiterClientStats:
         """Per-device end-to-end counters (flat: the root client's own)."""
-        path = self._paths[device]
-        if len(path) == 1:
-            node, client = path[0]
-            return self._arbiters[node].stats[client]
-        return self._accounting[device].stats
+        route = self._routes[device]
+        if route.last:
+            return route.accounting.stats
+        return route.arbiters[0].stats[route.clients[0]]
 
 
 def compile_topology(

@@ -284,6 +284,24 @@ class TestContendCommand:
         assert "--weights names 3 weights" in captured.err
         assert "2 devices" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--arbiter", "wrr", "--weights", "nan:1"],
+            ["--arbiter", "wrr", "--weights", "1:inf"],
+            ["--arbiter", "sliced", "--quantum", "nan"],
+            ["--arbiter", "sliced", "--quantum", "inf"],
+        ],
+    )
+    def test_contend_rejects_non_finite_weights_and_quantum(self, capsys, flags):
+        # Must fail validation before the run: no label, no result table.
+        code = main(["contend", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "finite" in captured.err
+
     def test_contend_topology_quantum_and_partition_flags(self, capsys):
         code = main(
             [

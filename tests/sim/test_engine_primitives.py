@@ -7,6 +7,8 @@ acquire/commit ordering of the worker pool under interleaved release times,
 which both the DMA engine and the NIC datapath simulator rely on.
 """
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError, ValidationError
@@ -369,6 +371,39 @@ class TestArbitratedResource:
                     "x", 2, schedule=loop.at, scheme=scheme,
                     weights=(1.0, 0.0),
                 )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_are_rejected(self, bad):
+        # NaN slips past a plain ``weight <= 0`` check; an infinite weight
+        # turns wrr keys into 0 and age keys into NaN.  Both are rejected
+        # at construction and by the mid-run actuator alike.
+        from repro.sim.engine import ArbitratedResource
+
+        loop = _ManualLoop()
+        for scheme in ("wrr", "age", "sliced"):
+            with pytest.raises(ValidationError, match="finite"):
+                ArbitratedResource(
+                    "x", 2, schedule=loop.at, scheme=scheme,
+                    weights=(1.0, bad),
+                )
+            resource = ArbitratedResource(
+                "x", 2, schedule=loop.at, scheme=scheme, weights=(1.0, 2.0)
+            )
+            with pytest.raises(ValidationError, match="finite"):
+                resource.set_weights((bad, 1.0))
+            assert resource.weights == (1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_quantum_is_rejected(self, bad):
+        # ``remaining > nan`` is always False: a NaN quantum would silently
+        # never slice and degrade the sliced scheme to plain wrr.
+        from repro.sim.engine import ArbitratedResource
+
+        with pytest.raises(ValidationError, match="finite"):
+            ArbitratedResource(
+                "x", 2, schedule=_ManualLoop().at, scheme="sliced",
+                quantum_ns=bad,
+            )
 
     def test_single_queue_degeneracy_for_every_scheme(self):
         # With one client there is nothing to arbitrate: every scheme

@@ -13,6 +13,7 @@ The two load-bearing contracts:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,13 @@ class TestValidation:
     def test_weights_require_the_wrr_arbiter(self):
         with pytest.raises(ValidationError):
             FabricConfig(arbiter="rr", weights=(1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_and_quantum_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            FabricConfig(arbiter="wrr", weights=(bad, 1.0))
+        with pytest.raises(ValidationError, match="finite"):
+            FabricConfig(arbiter="sliced", quantum_ns=bad)
 
     def test_unknown_arbiter_rejected(self):
         with pytest.raises(ValidationError):

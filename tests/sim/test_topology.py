@@ -12,6 +12,8 @@ The two load-bearing contracts:
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ValidationError
@@ -169,6 +171,23 @@ class TestCompiledTopology:
                 scheme="wrr",
                 weights=(1.0,),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_device_weights_are_rejected(self, bad):
+        loop = _ManualLoop()
+        spec = FabricTopology.parse("a=root,b=sw0,c=sw0,sw0=root")
+        with pytest.raises(ValidationError, match="finite"):
+            compile_topology(
+                "resource", spec, ("a", "b", "c"), schedule=loop.at,
+                scheme="wrr", weights=(1.0, bad, 1.0),
+            )
+        tree = compile_topology(
+            "resource", spec, ("a", "b", "c"), schedule=loop.at,
+            scheme="wrr", weights=(4.0, 1.0, 3.0),
+        )
+        with pytest.raises(ValidationError, match="finite"):
+            tree.set_device_weights((1.0, 1.0, bad))
+        assert tree.root.weights == (4.0, 4.0)
 
     def test_compile_rejects_mismatched_leaves(self):
         loop = _ManualLoop()
