@@ -68,6 +68,13 @@ def main() -> int:
             ).as_dict(),
         )
     ok &= check(
+        "nicsim_uncoupled_seeded.json",
+        lambda g: [
+            run_nicsim_benchmark(NicSimParams.from_dict(data)).as_dict()
+            for data in g["params"]
+        ],
+    )
+    ok &= check(
         "fleet_seeded.json",
         lambda g: run_fleet_benchmark(
             FleetParams.from_dict(g["params"])

@@ -340,8 +340,8 @@ class ControlRuntime:
                 f"need one share per device ({len(self._ddio_shares)}), "
                 f"got {len(new)}"
             )
-        if any(share <= 0 for share in new):
-            raise ValidationError(f"shares must be positive, got {new}")
+        if not all(0 < share < math.inf for share in new):
+            raise ValidationError(f"shares must be positive and finite, got {new}")
         if new == self._ddio_shares:
             return False
         self._repartition(new)

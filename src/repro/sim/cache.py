@@ -31,6 +31,7 @@ does not care which one it is given.
 from __future__ import annotations
 
 import enum
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -47,8 +48,10 @@ def _check_partition_shares(shares: Sequence[float]) -> tuple[float, ...]:
         raise ValidationError(
             f"a partition needs at least two shares, got {len(values)}"
         )
-    if any(share <= 0 for share in values):
-        raise ValidationError(f"partition shares must be positive, got {values}")
+    if not all(0 < share < math.inf for share in values):
+        raise ValidationError(
+            f"partition shares must be positive and finite, got {values}"
+        )
     total = sum(values)
     return tuple(share / total for share in values)
 

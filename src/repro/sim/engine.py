@@ -378,17 +378,28 @@ class EventLoop:
         num = self._num_buckets
         width = self._bucket_ns
         overflow = self._overflow
-        while self._wheel_count:
-            if buckets[self._cursor]:
+        if self._wheel_count:
+            # Some bucket holds an event, so the walk ends there.  It runs
+            # in locals; the cursor state is stored once at the end.
+            cursor = self._cursor
+            if buckets[cursor]:
                 return True
-            self._cursor = (self._cursor + 1) % num
-            self._cursor_time += width
-            end = self._wheel_end + width
+            cursor_time = self._cursor_time
+            end = self._wheel_end
+            while True:
+                cursor = (cursor + 1) % num
+                cursor_time += width
+                end += width
+                while overflow and overflow[0][0] < end:
+                    entry = heapq.heappop(overflow)
+                    heapq.heappush(buckets[int(entry[0] / width) % num], entry)
+                    self._wheel_count += 1
+                if buckets[cursor]:
+                    break
+            self._cursor = cursor
+            self._cursor_time = cursor_time
             self._wheel_end = end
-            while overflow and overflow[0][0] < end:
-                entry = heapq.heappop(overflow)
-                heapq.heappush(buckets[int(entry[0] / width) % num], entry)
-                self._wheel_count += 1
+            return True
         if overflow:
             lap = int(overflow[0][0] / width)
             self._cursor = lap % num
@@ -776,14 +787,17 @@ class ArbitratedResource:
     client index as the final tie-break, so runs reproduce bit for bit.
 
     **Batched grants.**  With :meth:`attach_loop`, back-to-back grants
-    skip the scheduler round trip: when the loop's next pending event is
-    strictly *after* this grant's service end, nothing can change the
-    queues before the resource frees, so the next grant is dispatched
-    inline instead of through a wake-up event.  The wake-up's tie-break
-    sequence is reserved up front (:meth:`EventLoop.reserve`), so when
-    batching is *not* possible the scheduled wake-up sorts exactly where
-    the unbatched code would have put it — pop order, and therefore every
-    seeded golden, is bit-identical either way.
+    skip the scheduler round trip: when a wake-up's grant ends strictly
+    *before* the loop's next pending event, nothing can change the queues
+    before the resource frees, so the next grant is dispatched inline
+    instead of through another wake-up event.  Only a dispatch running in
+    its own wake-up event batches: a grant made inside :meth:`request`
+    returns to the caller's event, which may still submit requests for the
+    same instant, so it always schedules its wake-up.  The wake-up's
+    tie-break sequence is reserved up front (:meth:`EventLoop.reserve`),
+    so a scheduled wake-up sorts exactly where the unbatched code would
+    have put it — grants, pop order and therefore every seeded golden are
+    bit-identical either way.
     """
 
     __slots__ = (
@@ -996,7 +1010,7 @@ class ArbitratedResource:
         """
         self._loop = loop
 
-    def _dispatch(self, now: float) -> None:
+    def _dispatch(self, now: float, woken: bool = False) -> None:
         loop = self._loop
         queues = self._queues
         quantum = self.quantum_ns
@@ -1053,10 +1067,10 @@ class ArbitratedResource:
             if batched:
                 # Batched path: hold the wake-up's tie-break position while
                 # the grant callback runs, then either dispatch the next
-                # grant inline (nothing pending before the service end, so
-                # the loop state at ``end`` is already final) or schedule
-                # the wake-up under the reserved sequence — same pop order
-                # either way.
+                # grant inline (woken, and nothing pending before the
+                # service end, so the loop state at ``end`` is already
+                # final) or schedule the wake-up under the reserved
+                # sequence — same pop order either way.
                 wake_sequence = loop.reserve()
             else:
                 # Legacy path: wake up through the scheduler.  The wake-up
@@ -1077,7 +1091,11 @@ class ArbitratedResource:
                 grant(start)
             if not batched:
                 return
-            if loop.peek_time() > end:
+            # Only a wake-up event may batch: after a grant made inside
+            # request(), the caller's event can still queue requests for
+            # this instant, and an inline dispatch would decide without
+            # them (or, finding no queue eligible, strand them).
+            if woken and loop.peek_time() > end:
                 self._dispatch_pending = False
                 now = end
                 continue
@@ -1086,4 +1104,4 @@ class ArbitratedResource:
 
     def _on_free(self, now: float) -> None:
         self._dispatch_pending = False
-        self._dispatch(now)
+        self._dispatch(now, True)

@@ -219,9 +219,11 @@ class FabricConfig:
             )
         if self.ddio_partition is not None:
             shares = tuple(float(share) for share in self.ddio_partition)
-            if any(share <= 0 for share in shares):
+            # Written so NaN fails too: every comparison with NaN is False.
+            if not all(0 < share < math.inf for share in shares):
                 raise ValidationError(
-                    f"ddio_partition shares must be positive, got {shares}"
+                    "ddio_partition shares must be positive and finite, "
+                    f"got {shares}"
                 )
             object.__setattr__(self, "ddio_partition", shares)
         if self.cache_model not in ("statistical", "faithful"):
@@ -528,8 +530,10 @@ class SharedHost:
                 f"need one share per device ({len(self.couplings)}), "
                 f"got {len(resized)}"
             )
-        if any(share <= 0 for share in resized):
-            raise ValidationError(f"shares must be positive, got {resized}")
+        if not all(0 < share < math.inf for share in resized):
+            raise ValidationError(
+                f"shares must be positive and finite, got {resized}"
+            )
         owner = _line_owner(len(self.couplings))
         payload_cache = self.host.root_complex.cache
         descriptor_cache = self.descriptor_rc.cache

@@ -71,6 +71,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
 from typing import Callable
 
@@ -614,13 +615,6 @@ class _Signal:
         for fn in waiters:
             fn(now)
 
-    def wait(self, now: float, fn: Callable[[float], None]) -> None:
-        time = self.time
-        if time is not None:
-            fn(time if time > now else now)
-        else:
-            self._waiters.append(fn)
-
 
 @dataclass(frozen=True, slots=True)
 class _CompiledOp:
@@ -635,6 +629,171 @@ class _CompiledOp:
     #: Whether the transaction is a DMA (holds a tag when the pool is
     #: bounded) — precomputed so the issue path skips the kind test.
     dma: bool
+
+
+_DMA_READ = OpKind.DMA_READ
+_DMA_WRITE = OpKind.DMA_WRITE
+_MMIO_WRITE = OpKind.MMIO_WRITE
+
+
+class _Transaction:
+    """One transaction instance in flight: the datapath's DMA/MMIO state machine.
+
+    Its bound methods are the stage transitions, each scheduled through
+    the event loop at the simulated time the stage is reached:
+
+    * :meth:`grant` — the DMA tag is held (or none is needed): claim the
+      request's link direction.
+    * :meth:`at_host` — host-coupled DMAs only: the request reached the
+      root complex; one host access, then the host-side resources.
+    * :meth:`host_ready` — host processing begins: a read waits out the
+      access latency, a posted write drains and frees its tag.
+    * :meth:`respond` — a read's data heads back (DMA read: from host
+      memory, down the link; MMIO read: from the device register, up it).
+    * :meth:`land` — the completion reaches the device: free the tag,
+      then report — ``then(time)``, or straight into the datapath's
+      payload accounting when ``then`` is ``None``.
+
+    A held tag frees when the device's DMA context would: for reads, when
+    the completion lands; for posted writes, at wire completion — or,
+    host-coupled, when the root complex has drained the write into the
+    memory system (the flow-control credit loop that lets a slow host
+    throttle even posted traffic).
+    """
+
+    __slots__ = (
+        "path",
+        "op",
+        "then",
+        "payload",
+        "tagged",
+        "arrival",
+        "size",
+        "ops",
+        "access",
+    )
+
+    def __init__(
+        self,
+        path: "_Datapath",
+        op: _CompiledOp,
+        then: Callable[[float], None] | None,
+        payload: bool,
+        tagged: bool,
+        arrival: float,
+        size: int,
+        ops: list[_CompiledOp] | None,
+    ) -> None:
+        self.path = path
+        self.op = op
+        self.then = then
+        #: Whether this is the packet's payload DMA (the host access
+        #: models payload and descriptor buffers differently).
+        self.payload = payload
+        #: Whether a tag is held that frees at :meth:`land`.
+        self.tagged = tagged
+        #: The packet a payload record reports (``then is None`` only).
+        self.arrival = arrival
+        self.size = size
+        self.ops = ops
+        self.access = None
+
+    def grant(self, now: float) -> None:
+        op = self.op
+        path = self.path
+        kind = op.kind
+        if kind is _DMA_READ:
+            up = op.up_ns
+            arrive = path._link_up.occupy(now, up) + up
+            if path._coupling is None:
+                path._loop.at(arrive + path._host_read_latency_ns, self.respond)
+            else:
+                path._loop.at(arrive, self.at_host)
+        elif kind is _DMA_WRITE:
+            up = op.up_ns
+            arrive = path._link_up.occupy(now, up) + up
+            path._loop.at(arrive, self.land)
+            if path._coupling is not None:
+                # The tag rides with the write into the root complex.
+                self.tagged = False
+                path._loop.at(arrive, self.at_host)
+        elif kind is _MMIO_WRITE:
+            down = op.down_ns
+            path._loop.at(path._link_down.occupy(now, down) + down, self.land)
+        else:  # MMIO_READ: request downstream, completion upstream
+            down = op.down_ns
+            turnaround = (
+                path._coupling.mmio_read_ns
+                if path._coupling is not None
+                else path._sim_config.mmio_read_latency_ns
+            )
+            path._loop.at(
+                path._link_down.occupy(now, down) + down + turnaround,
+                self.respond,
+            )
+
+    def at_host(self, time: float) -> None:
+        path = self.path
+        op = self.op
+        access = path._coupling.access(
+            op.kind, direction=path.direction, payload=self.payload, size=op.size
+        )
+        self.access = access
+        path._visit_host(time, access, self.host_ready)
+
+    def host_ready(self, ready: float) -> None:
+        path = self.path
+        if self.op.kind is _DMA_READ:
+            path._loop.at(ready + self.access.latency_ns, self.respond)
+        elif path._tags is not None:
+            path._loop.at(ready + self.access.latency_ns, path._tags.release)
+
+    def respond(self, time: float) -> None:
+        op = self.op
+        path = self.path
+        if op.kind is _DMA_READ:
+            down = op.down_ns
+            path._loop.at(path._link_down.occupy(time, down) + down, self.land)
+        else:
+            up = op.up_ns
+            path._loop.at(path._link_up.occupy(time, up) + up, self.land)
+
+    def land(self, time: float) -> None:
+        path = self.path
+        if self.tagged:
+            path._tags.release(time)
+        then = self.then
+        if then is None:
+            path._on_payload(self.arrival, time, self.size, self.ops)
+        else:
+            then(time)
+
+
+class _GateWait:
+    """A packet parked until a gate fires (or a full ring frees an entry).
+
+    :meth:`resume` continues the packet's walk at ``index`` of its
+    compiled sequence from the time it is woken.
+    """
+
+    __slots__ = ("path", "ops", "index", "arrival", "size")
+
+    def __init__(
+        self,
+        path: "_Datapath",
+        ops: list[_CompiledOp],
+        index: int,
+        arrival: float,
+        size: int,
+    ) -> None:
+        self.path = path
+        self.ops = ops
+        self.index = index
+        self.arrival = arrival
+        self.size = size
+
+    def resume(self, time: float) -> None:
+        self.path._step(self.ops, self.index, time, self.arrival, self.size)
 
 
 class _Ring:
@@ -780,13 +939,9 @@ class _WarmupGate:
 
     def __init__(self, threshold: int) -> None:
         self.threshold = threshold
+        #: Packets of the direction recorded so far; each one whose count
+        #: before it is at least ``threshold`` is measured.
         self.seen = 0
-
-    def admit(self) -> bool:
-        """True when the packet falls past the warmup cutoff (measure it)."""
-        measured = self.seen >= self.threshold
-        self.seen += 1
-        return measured
 
 
 class _StreamStats:
@@ -795,8 +950,9 @@ class _StreamStats:
     Holds what :func:`_path_statistics` would have recomputed from the
     retained arrays: a latency sketch over the post-warmup samples plus
     the measurement window (first/last completion, byte and packet
-    totals) that throughput and packet rate derive from.  ``merge`` folds
-    queues into their direction aggregate.
+    totals) that throughput and packet rate derive from.
+    :meth:`_Datapath._record` fills it; ``merge`` folds queues into their
+    direction aggregate.
     """
 
     __slots__ = ("sketch", "count", "payload_bytes", "first_done", "first_size", "last_done")
@@ -808,16 +964,6 @@ class _StreamStats:
         self.first_done = float("inf")
         self.first_size = 0
         self.last_done = float("-inf")
-
-    def record(self, latency_ns: float, done: float, size: int) -> None:
-        self.sketch.add(latency_ns)
-        self.count += 1
-        self.payload_bytes += size
-        if done < self.first_done:
-            self.first_done = done
-            self.first_size = size
-        if done > self.last_done:
-            self.last_done = done
 
     def merge(self, other: "_StreamStats") -> "_StreamStats":
         self.sketch.merge(other.sketch)
@@ -882,6 +1028,7 @@ class _Datapath:
         "_signals",
         "_pending",
         "_wait_on_full",
+        "_host_read_latency_ns",
         "arrivals",
         "dones",
         "notifies",
@@ -943,6 +1090,7 @@ class _Datapath:
         #: A full ring queues the packet (TX backpressure / RX with
         #: backpressure on) or drops it (default RX) — fixed per run.
         self._wait_on_full = direction == "tx" or sim_config.rx_backpressure
+        self._host_read_latency_ns = sim_config.host_read_latency_ns
         self._compiled: dict[int, list[_CompiledOp]] = {}
 
         reference = self._ops_for(_REFERENCE_PACKET)
@@ -1150,9 +1298,11 @@ class _Datapath:
         self,
         op: _CompiledOp,
         now: float,
-        on_done: Callable[[float], None],
-        *,
+        then: Callable[[float], None] | None,
         payload: bool = False,
+        arrival: float = 0.0,
+        size: int = 0,
+        ops: list[_CompiledOp] | None = None,
     ) -> None:
         """Issue one transaction instance, gated by the DMA tag pool.
 
@@ -1161,130 +1311,29 @@ class _Datapath:
         delays the issue until the longest-held tag frees — the finite
         concurrency that turns host latency into a throughput cap.  MMIO
         transactions are device register traffic and bypass the pool.
-        """
-        if self._tags is None or not op.dma:
-            self._execute(op, now, on_done, payload=payload, tagged=False)
-        else:
-            self._tags.acquire(
-                now,
-                lambda grant: self._execute(
-                    op, grant, on_done, payload=payload, tagged=True
-                ),
-            )
 
-    def _release_then(
-        self, on_done: Callable[[float], None]
-    ) -> Callable[[float], None]:
-        """Wrap a completion so it frees the held DMA tag first."""
-
-        def done(time: float) -> None:
-            self._tags.release(time)
-            on_done(time)
-
-        return done
-
-    def _execute(
-        self,
-        op: _CompiledOp,
-        now: float,
-        on_done: Callable[[float], None],
-        *,
-        payload: bool,
-        tagged: bool,
-    ) -> None:
-        """Claim link time for one instance; ``on_done`` fires at completion.
-
-        With host coupling active, DMA transactions additionally visit the
-        root complex *at the simulated time they arrive there* (so ingress
-        and walker occupancy is claimed in event order): reads wait out the
+        ``then(time)`` fires when the completion lands at the device; a
+        ``None`` ``then`` hands the landing packet (``arrival``, ``size``,
+        its compiled ``ops``) to :meth:`_on_payload` instead.  With host
+        coupling active, DMA transactions additionally visit the root
+        complex *at the simulated time they arrive there* (so ingress and
+        walker occupancy is claimed in event order): reads wait out the
         returned host latency before their completion claims the down
         link; posted writes complete on the wire but still consume host
         resources, back-pressuring later transactions.
-
-        A held tag (``tagged``) frees when the device's DMA context would:
-        for reads, when the completion lands back at the device; for
-        posted writes, at wire completion — or, host-coupled, when the
-        root complex has drained the write into the memory system (the
-        flow-control credit loop that lets a slow host throttle even
-        posted traffic).
         """
-        if op.kind is OpKind.DMA_READ:
-            if tagged:
-                on_done = self._release_then(on_done)
-            up_ns = op.up_ns
-            down_ns = op.down_ns
-            loop_at = self._loop.at
-            link_down = self._link_down
-            start = self._link_up.occupy(now, up_ns)
-
-            def completion(time: float) -> None:
-                completion_start = link_down.occupy(time, down_ns)
-                loop_at(completion_start + down_ns, on_done)
-
-            if self._coupling is None:
-                at_host = start + up_ns + self._sim_config.host_read_latency_ns
-                loop_at(at_host, completion)
-            else:
-
-                def at_root_complex(time: float) -> None:
-                    access = self._coupling.access(
-                        op.kind,
-                        direction=self.direction,
-                        payload=payload,
-                        size=op.size,
-                    )
-                    self._visit_host(
-                        time,
-                        access,
-                        lambda ready: loop_at(
-                            ready + access.latency_ns, completion
-                        ),
-                    )
-
-                loop_at(start + up_ns, at_root_complex)
-        elif op.kind is OpKind.DMA_WRITE:
-            start = self._link_up.occupy(now, op.up_ns)
-            if self._coupling is None:
-                if tagged:
-                    on_done = self._release_then(on_done)
-                self._loop.at(start + op.up_ns, on_done)
-            else:
-                self._loop.at(start + op.up_ns, on_done)
-
-                def at_root_complex_write(time: float) -> None:
-                    access = self._coupling.access(
-                        op.kind,
-                        direction=self.direction,
-                        payload=payload,
-                        size=op.size,
-                    )
-
-                    def drained(ready: float) -> None:
-                        if tagged:
-                            self._loop.at(
-                                ready + access.latency_ns, self._tags.release
-                            )
-
-                    self._visit_host(time, access, drained)
-
-                self._loop.at(start + op.up_ns, at_root_complex_write)
-        elif op.kind is OpKind.MMIO_WRITE:
-            start = self._link_down.occupy(now, op.down_ns)
-            self._loop.at(start + op.down_ns, on_done)
-        else:  # MMIO_READ: request downstream, completion upstream
-            start = self._link_down.occupy(now, op.down_ns)
-            turnaround = (
-                self._coupling.mmio_read_ns
-                if self._coupling is not None
-                else self._sim_config.mmio_read_latency_ns
+        tags = self._tags
+        if tags is None or not op.dma:
+            _Transaction(
+                self, op, then, payload, False, arrival, size, ops
+            ).grant(now)
+        else:
+            tags.acquire(
+                now,
+                _Transaction(
+                    self, op, then, payload, True, arrival, size, ops
+                ).grant,
             )
-            at_device = start + op.down_ns + turnaround
-
-            def mmio_completion(time: float) -> None:
-                completion_start = self._link_up.occupy(time, op.up_ns)
-                self._loop.at(completion_start + op.up_ns, on_done)
-
-            self._loop.at(at_device, mmio_completion)
 
     # -- packet lifecycle -------------------------------------------------------
 
@@ -1319,7 +1368,7 @@ class _Datapath:
             self._step(ops, 0, now, now, size)
         elif self._wait_on_full:
             ring._waiters.append(
-                lambda post: self._step(self._ops_for(size), 0, post, now, size)
+                _GateWait(self, self._ops_for(size), 0, now, size).resume
             )
         else:
             ring.drops += 1
@@ -1416,13 +1465,19 @@ class _Datapath:
             ops[index],
             now,
             lambda done: self._trace_on_payload(
-                arrival, done, size, packet, dispatch
+                ops, arrival, done, size, packet, dispatch
             ),
-            payload=True,
+            True,
         )
 
     def _trace_on_payload(
-        self, arrival: float, done: float, size: int, packet: int, dispatch: float
+        self,
+        ops: list[_CompiledOp],
+        arrival: float,
+        done: float,
+        size: int,
+        packet: int,
+        dispatch: float,
     ) -> None:
         """Record the ``payload`` span, then run the untraced accounting.
 
@@ -1434,7 +1489,7 @@ class _Datapath:
             self.device, self.label, packet, STAGE_PAYLOAD, dispatch, done - dispatch
         )
         self._trace_pending.append((packet, done))
-        self._on_payload(arrival, done, size)
+        self._on_payload(arrival, done, size, ops)
 
     def _step(
         self,
@@ -1465,43 +1520,35 @@ class _Datapath:
             time = signal.time
             if time is None:
                 signal._waiters.append(
-                    lambda time, index=index: self._step(
-                        ops, index + 1, time, arrival, size
-                    )
+                    _GateWait(self, ops, index + 1, arrival, size).resume
                 )
                 return
             if time > now:
                 now = time
             index += 1
-        self._issue(
-            ops[index],
-            now,
-            lambda done: self._on_payload(arrival, done, size),
-            payload=True,
-        )
+        # The payload record lands straight in _on_payload.
+        self._issue(ops[index], now, None, True, arrival, size, ops)
 
-    def _on_payload(self, arrival: float, done: float, size: int) -> None:
+    def _on_payload(
+        self, arrival: float, done: float, size: int, ops: list[_CompiledOp]
+    ) -> None:
         """Payload DMA finished: account trailing (report-side) transactions."""
         self._pending.append((arrival, done, size))
-        ops = self._compiled.get(size)
-        if ops is None:
-            ops = self._ops_for(size)
         credits = self._credits
+        notify_idx = self._notify_idx
         for index in range(self._payload_idx + 1, len(ops)):
             op = ops[index]
-            credits[index] += 1.0
-            while credits[index] >= op.per_packets:
-                credits[index] -= op.per_packets
-                if index == self._notify_idx:
+            credit = credits[index] + 1.0
+            per_packets = op.per_packets
+            while credit >= per_packets:
+                credit -= per_packets
+                if index == notify_idx:
                     batch, self._pending = self._pending, []
-                    self._issue(
-                        op,
-                        done,
-                        lambda time, batch=batch: self._flush(batch, time),
-                    )
+                    self._issue(op, done, partial(self._flush, batch))
                 else:
                     self._issue(op, done, _ignore)
-        if self._notify_idx is None:
+            credits[index] = credit
+        if notify_idx is None:
             batch, self._pending = self._pending, []
             self._flush(batch, done)
 
@@ -1560,13 +1607,26 @@ class _Datapath:
         self.delivered_bytes += size
         if notify > self.max_notify:
             self.max_notify = notify
-        if self.stream is None:
+        stream = self.stream
+        if stream is None:
             self.arrivals.append(arrival)
             self.dones.append(done)
             self.notifies.append(notify)
             self.delivered_sizes.append(size)
-        elif self._warmup_gate.admit():
-            self.stream.record(notify - arrival, done, size)
+        else:
+            # Past the direction's warmup cutoff, measure the packet.
+            gate = self._warmup_gate
+            seen = gate.seen
+            gate.seen = seen + 1
+            if seen >= gate.threshold:
+                stream.sketch.add(notify - arrival)
+                stream.count += 1
+                stream.payload_bytes += size
+                if done < stream.first_done:
+                    stream.first_done = done
+                    stream.first_size = size
+                if done > stream.last_done:
+                    stream.last_done = done
         if self.observer is not None:
             self.observer(notify - arrival)
 
@@ -2003,9 +2063,13 @@ class NicDatapathSimulator:
                     for time, size in zip(arrival_times, sizes)
                 )
             else:
+                handlers = [queue.on_arrival for queue in queues]
                 loop.feed_many(
-                    (arrival_times[index], queues[target].on_arrival, sizes[index])
-                    for index, target in enumerate(targets.tolist())
+                    zip(
+                        arrival_times,
+                        map(handlers.__getitem__, targets.tolist()),
+                        sizes,
+                    )
                 )
             directions.append((direction, queues))
         if metrics is not None:

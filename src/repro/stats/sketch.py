@@ -81,7 +81,9 @@ class QuantileSketch:
     def add(self, value: float) -> None:
         """Insert one non-negative value."""
         value = float(value)
-        if not math.isfinite(value) or value < 0.0:
+        # One chained comparison rejects NaN (every comparison with it is
+        # False), infinities and negatives alike.
+        if not 0.0 <= value < math.inf:
             raise ValidationError(
                 f"sketch values must be finite and non-negative, got {value}"
             )

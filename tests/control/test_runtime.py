@@ -250,6 +250,10 @@ class TestActuators:
             actuators.set_ddio_shares((1.0,), device="dev0", reason="short")
         with pytest.raises(ValidationError):
             actuators.set_ddio_shares((1.0, -2.0), device="dev0", reason="neg")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                actuators.set_ddio_shares((bad, 1.0), device="dev0", reason="bad")
+        assert seen == []
         assert actuators.set_ddio_shares((2.0, 1.0), device="dev0", reason="up")
         assert seen == [(2.0, 1.0)]
         assert actuators.ddio_shares() == (2.0, 1.0)

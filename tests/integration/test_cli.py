@@ -336,6 +336,16 @@ class TestContendCommand:
         assert code == 1
         assert "colon-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shares", ["nan:1", "inf:1", "1:-inf"])
+    def test_contend_rejects_non_finite_partition_shares(self, capsys, shares):
+        code = main(["contend", "--iommu", "--ddio-partition", shares])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "positive and finite" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_contend_controller_prints_the_action_log(self, capsys):
         code = main(
             [

@@ -48,15 +48,61 @@ def _contend_params() -> ContentionParams:
     )
 
 
+#: Runs the untraced datapath must reproduce bit for bit under tracing (the
+#: traced path keeps its own closures, so every transaction shape counts).
+TRACED_NICSIM_RUNS = {
+    # Host-coupled, single queue, bounded tags.
+    "coupled-dpdk": _nicsim_params(),
+    # The uncoupled multi-queue benchmark shape: 4 Zipf queues, 32 tags,
+    # streaming statistics.
+    "link-mq": NicSimParams(
+        model="dpdk",
+        workload="bursty-imix",
+        offered_load_gbps=24.0,
+        packets=1500,
+        num_queues=4,
+        rss="zipf",
+        dma_tags=32,
+        retain_samples=False,
+        seed=7,
+    ),
+    # Kernel driver, uncoupled: interrupts, MMIO pointer reads, a ring
+    # shallow enough for TX waits and RX drops, and scarce tags.
+    "kernel-uncoupled": NicSimParams(
+        model="kernel",
+        workload="imix",
+        packets=400,
+        ring_depth=32,
+        dma_tags=8,
+        seed=5,
+    ),
+    # Kernel driver, host-coupled and multi-queue: root-complex drains of
+    # posted writes and the profile's MMIO turnaround.
+    "kernel-coupled-mq": NicSimParams(
+        model="kernel",
+        workload="imix",
+        offered_load_gbps=20.0,
+        packets=300,
+        num_queues=2,
+        dma_tags=12,
+        system="NFP6000-HSW",
+        iommu_enabled=True,
+        seed=9,
+    ),
+}
+
+
 class TestTracingDoesNotPerturb:
     """The observability layer must be invisible to the simulation."""
 
-    def test_nicsim_result_bit_identical_under_tracing(self) -> None:
-        baseline = run_nicsim_benchmark(_nicsim_params()).as_dict()
+    @pytest.mark.parametrize("run", sorted(TRACED_NICSIM_RUNS))
+    def test_nicsim_result_bit_identical_under_tracing(self, run: str) -> None:
+        params = TRACED_NICSIM_RUNS[run]
+        baseline = run_nicsim_benchmark(params).as_dict()
         tracer = Tracer()
         metrics = MetricsRegistry()
         traced = run_nicsim_benchmark(
-            _nicsim_params(), tracer=tracer, metrics=metrics
+            params, tracer=tracer, metrics=metrics
         ).as_dict()
         assert traced.pop("metrics") is not None
         assert json.dumps(baseline, sort_keys=True) == json.dumps(

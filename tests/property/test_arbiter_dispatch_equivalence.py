@@ -92,7 +92,7 @@ class ReferenceArbiter:
             key=lambda index: (self.stats[index][4] / self.weights[index], index),
         )
 
-    def _dispatch(self, now):
+    def _dispatch(self, now, woken=False):
         loop = self._loop
         queues = self._queues
         while True:
@@ -131,7 +131,9 @@ class ReferenceArbiter:
             wake_sequence = loop.reserve()
             if not sliced_remnant:
                 self._grant(stats, grant, end - total, asked)
-            if loop.peek_time() > end:
+            # Only a wake-up event batches: a grant made inside request()
+            # returns to an event that may still submit more requests.
+            if woken and loop.peek_time() > end:
                 self._dispatch_pending = False
                 now = end
                 continue
@@ -150,7 +152,7 @@ class ReferenceArbiter:
 
     def _on_free(self, now):
         self._dispatch_pending = False
-        self._dispatch(now)
+        self._dispatch(now, True)
 
 
 def _client_stats(arbiter):
@@ -168,8 +170,16 @@ def _client_stats(arbiter):
     ]
 
 
-def drive(make, scheme, clients, weights, quantum, requests, retunes, mode):
-    """Run one request stream; return (grants, client stats, events)."""
+def drive(
+    make, scheme, clients, weights, quantum, requests, retunes, mode,
+    bursts=False,
+):
+    """Run one request stream; return (grants, client stats, events).
+
+    With ``bursts``, requests sharing an arrival time are submitted from
+    one event, in list order, and a zero-delay follow-up is submitted from
+    inside the grant callback itself.
+    """
     loop = HeapEventLoop() if mode == "heap" else EventLoop()
     arbiter = make(
         clients,
@@ -185,7 +195,9 @@ def drive(make, scheme, clients, weights, quantum, requests, retunes, mode):
     def submit(label, client, now, duration, follow):
         def granted(start):
             grants.append((label, client, start))
-            if follow is not None:
+            if bursts and follow == 0.0:
+                submit(f"{label}+", client, start, duration, None)
+            elif follow is not None:
                 # A closed-loop client: its next request waits for this
                 # grant, like a device that must see a completion first.
                 loop.at(
@@ -197,10 +209,13 @@ def drive(make, scheme, clients, weights, quantum, requests, retunes, mode):
 
         arbiter.request(client, now, duration, granted)
 
+    events: dict[float, list] = {}
     for label, (time, client, duration, follow) in enumerate(requests):
         client %= clients
         if mode == "offline":
             submit(label, client, time, duration, follow)
+        elif bursts:
+            events.setdefault(time, []).append((label, client, duration, follow))
         else:
             loop.at(
                 time,
@@ -208,6 +223,14 @@ def drive(make, scheme, clients, weights, quantum, requests, retunes, mode):
                     args[0], args[1], now, args[2], args[3]
                 ),
             )
+    for time, burst in events.items():
+        loop.at(
+            time,
+            lambda now, burst=burst: [
+                submit(label, client, now, duration, follow)
+                for label, client, duration, follow in burst
+            ],
+        )
     for time, new_weights in retunes:
         loop.at(
             time,
@@ -243,44 +266,88 @@ retune_stream = st.lists(
     requests=request_stream,
     retunes=retune_stream,
     mode=st.sampled_from(MODES),
+    bursts=st.booleans(),
 )
 # Exact ties on every key: three never-served clients queue at once.
 @example(
     scheme="wrr", clients=3, weights=(2.0, 2.0, 2.0, 1.0), quantum=16.0,
     requests=[(0.0, 0, 8.0, None), (0.0, 2, 8.0, None), (0.0, 1, 8.0, None)],
-    retunes=[], mode="wheel",
+    retunes=[], mode="wheel", bursts=False,
 )
 @example(
     scheme="age", clients=3, weights=(1.0, 2.0, 2.0, 1.0), quantum=16.0,
     requests=[(0.0, 0, 8.0, None), (4.0, 2, 8.0, None), (4.0, 1, 8.0, None)],
-    retunes=[], mode="heap",
+    retunes=[], mode="heap", bursts=False,
 )
 # One eligible client at a time: the picker is skipped on every dispatch.
 @example(
     scheme="wrr", clients=3, weights=(1.0, 2.0, 3.0, 1.0), quantum=16.0,
     requests=[(0.0, 0, 8.0, None), (20.0, 1, 8.0, None), (40.0, 2, 8.0, None)],
-    retunes=[], mode="wheel",
+    retunes=[], mode="wheel", bursts=False,
 )
 # Every head in the caller's future: the resource sleeps until the first.
 @example(
     scheme="fcfs", clients=2, weights=(1.0, 1.0, 1.0, 1.0), quantum=16.0,
     requests=[(0.0, 0, 10.0, None), (50.0, 1, 5.0, None), (80.0, 0, 5.0, None)],
-    retunes=[], mode="offline",
+    retunes=[], mode="offline", bursts=False,
+)
+# One event submits two requests: the second must not be stranded.
+@example(
+    scheme="fcfs", clients=2, weights=(1.0, 1.0, 1.0, 1.0), quantum=16.0,
+    requests=[(4.0, 0, 10.0, None), (4.0, 1, 10.0, None)],
+    retunes=[], mode="wheel", bursts=True,
 )
 def test_dispatch_matches_the_reference_arbiter(
-    scheme, clients, weights, quantum, requests, retunes, mode
+    scheme, clients, weights, quantum, requests, retunes, mode, bursts
 ):
     weights = weights[:clients] if scheme in ("wrr", "age", "sliced") else None
     quantum = quantum if scheme == "sliced" else None
     got = drive(
         lambda count, **kwargs: ArbitratedResource("arb", count, **kwargs),
-        scheme, clients, weights, quantum, requests, retunes, mode,
+        scheme, clients, weights, quantum, requests, retunes, mode, bursts,
     )
     want = drive(
         ReferenceArbiter, scheme, clients, weights, quantum, requests, retunes,
-        mode,
+        mode, bursts,
     )
     assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheme=st.sampled_from(ARBITER_SCHEMES),
+    clients=st.integers(1, 4),
+    weights=st.tuples(weight, weight, weight, weight),
+    quantum=st.sampled_from([4.0, 16.0]),
+    requests=request_stream,
+    retunes=retune_stream,
+    mode=st.sampled_from(("wheel", "heap")),
+)
+# A grant callback re-requests before its event submits the next request:
+# batching inline at the grant's end would decide without the latter.
+@example(
+    scheme="age", clients=2, weights=(2.0, 1.0, 1.0, 1.0), quantum=16.0,
+    requests=[(5.0, 1, 10.0, 0.0), (5.0, 0, 10.0, None), (5.0, 0, 10.0, None)],
+    retunes=[], mode="wheel",
+)
+def test_batched_grants_equal_unbatched_grants_under_bursts(
+    scheme, clients, weights, quantum, requests, retunes, mode
+):
+    """Attaching the loop only saves wake-up events; grants never change."""
+    weights = weights[:clients] if scheme in ("wrr", "age", "sliced") else None
+    quantum = quantum if scheme == "sliced" else None
+
+    def make(count, **kwargs):
+        return ArbitratedResource("arb", count, **kwargs)
+
+    batched = drive(
+        make, scheme, clients, weights, quantum, requests, retunes, mode, True
+    )
+    unbatched = drive(
+        make, scheme, clients, weights, quantum, requests, retunes,
+        "unbatched", True,
+    )
+    assert batched[:2] == unbatched[:2]
 
 
 @pytest.mark.parametrize("scheme", ARBITER_SCHEMES)

@@ -218,6 +218,9 @@ class TestSetAssociativeDdioPartition:
             cache.partition_ddio((1.0,), lambda line: 0)  # one share
         with pytest.raises(ValidationError):
             cache.partition_ddio((1.0, 0.0), lambda line: 0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                cache.partition_ddio((bad, 1.0), lambda line: 0)
         with pytest.raises(ValidationError):
             # ddio_ways == 2 here; three owners cannot each get a way.
             cache.partition_ddio((1.0, 1.0, 1.0), lambda line: 0)

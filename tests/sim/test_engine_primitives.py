@@ -538,3 +538,66 @@ class TestArbitratedResource:
         assert snapshot.busy_ns_total == 2.0
         assert snapshot.wait_ns_mean == 0.0
         assert snapshot.as_dict()["wait_ns_mean"] == 0.0
+
+
+class TestBatchedGrantsMatchUnbatched:
+    """Attaching the loop (batched grants) never changes who is granted when.
+
+    Regression: a grant made inside ``request`` used to continue inline at
+    its service end, find no queue eligible and return with no wake-up
+    scheduled, stranding every later request of the same event.
+    """
+
+    @staticmethod
+    def _run(loop_cls, attach, scheme, event):
+        from repro.sim.engine import ArbitratedResource
+
+        loop = loop_cls()
+        weights = (2.0, 1.0) if scheme in ("wrr", "age", "sliced") else None
+        arbiter = ArbitratedResource(
+            "arb", 2, schedule=loop.at, scheme=scheme, weights=weights
+        )
+        if attach:
+            arbiter.attach_loop(loop)
+        grants = []
+        loop.at(5.0, lambda now: event(arbiter, now, grants))
+        loop.run()
+        return grants, arbiter.pending
+
+    @staticmethod
+    def _two_requests(arbiter, now, grants):
+        arbiter.request(0, now, 10.0, lambda t: grants.append(("x", t)))
+        arbiter.request(1, now, 10.0, lambda t: grants.append(("y", t)))
+
+    @staticmethod
+    def _callback_then_caller(arbiter, now, grants):
+        # The first grant's callback re-requests before the event goes on
+        # to submit its second request for the same instant.
+        def first(start):
+            grants.append(("x", start))
+            arbiter.request(1, start, 10.0, lambda t: grants.append(("cb", t)))
+
+        arbiter.request(0, now, 10.0, first)
+        arbiter.request(0, now, 10.0, lambda t: grants.append(("y", t)))
+
+    @pytest.mark.parametrize("loop_name", ["EventLoop", "HeapEventLoop"])
+    @pytest.mark.parametrize("scheme", ["fcfs", "rr", "wrr", "age", "sliced"])
+    @pytest.mark.parametrize("event", ["_two_requests", "_callback_then_caller"])
+    def test_one_event_submitting_several_requests(self, loop_name, scheme, event):
+        from repro.sim import engine
+
+        loop_cls = getattr(engine, loop_name)
+        submit = getattr(self, event)
+        batched = self._run(loop_cls, True, scheme, submit)
+        unbatched = self._run(loop_cls, False, scheme, submit)
+        assert batched == unbatched
+        grants, pending = batched
+        assert pending == 0
+        assert len(grants) == (2 if event == "_two_requests" else 3)
+
+    def test_stranding_repro_grants_both_requests(self):
+        from repro.sim.engine import EventLoop
+
+        grants, pending = self._run(EventLoop, True, "fcfs", self._two_requests)
+        assert grants == [("x", 5.0), ("y", 15.0)]
+        assert pending == 0

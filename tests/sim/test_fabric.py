@@ -344,6 +344,9 @@ class TestTopologyFabric:
         ]
         shared = SharedHost(fabric, configs, [512, 512], seed=1)
         assert shared.partitioned is True
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                shared.repartition((bad, 1.0))
 
     def test_simulator_validates_topology_and_partition(self):
         workload = build_workload("fixed", size=512, load_gbps=5.0)
@@ -359,6 +362,9 @@ class TestTopologyFabric:
             FabricSimulator(
                 devices, FabricConfig(ddio_partition=(1.0, 1.0, 1.0))
             )
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                FabricConfig(ddio_partition=(bad, 1.0))
         with pytest.raises(ValidationError):
             FabricConfig(quantum_ns=16.0)  # fcfs ignores quanta
         with pytest.raises(ValidationError):
